@@ -32,6 +32,9 @@ echo "== tier 2: campaign runtime + serving stack under ThreadSanitizer =="
 cmake --preset tsan >/dev/null
 cmake --build --preset tsan -j "$jobs"
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_runtime
+# The loopback listener under every daemon and the fault proxy: its
+# accept thread, reaper and stop() race the per-connection threads.
+TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_listener
 # Durability: the cache's global corruption counters and the journal
 # are shared across campaign threads; the whole suite is kit-free.
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_durability

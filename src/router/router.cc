@@ -1,18 +1,7 @@
 #include "router/router.hh"
 
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
-#include <csignal>
-#include <cstring>
-
-#include <arpa/inet.h>
-#include <fcntl.h>
-#include <netinet/in.h>
-#include <poll.h>
-#include <sys/socket.h>
-#include <sys/time.h>
-#include <unistd.h>
 
 #include "service/client.hh"
 #include "service/codec.hh"
@@ -26,27 +15,6 @@ using service::WireError;
 
 namespace
 {
-
-/** Wake-pipe write end for the signal handlers (one router/process). */
-std::atomic<int> g_router_wake_fd{-1};
-
-extern "C" void
-handleRouterSignal(int)
-{
-    int fd = g_router_wake_fd.load(std::memory_order_relaxed);
-    if (fd >= 0) {
-        char byte = 's';
-        [[maybe_unused]] ssize_t rc = ::write(fd, &byte, 1);
-    }
-}
-
-void
-setCloexec(int fd)
-{
-    int flags = ::fcntl(fd, F_GETFD);
-    if (flags >= 0)
-        ::fcntl(fd, F_SETFD, flags | FD_CLOEXEC);
-}
 
 /** ServiceError::what() is "code: message"; recover the message. */
 std::string
@@ -62,7 +30,10 @@ errorMessage(const service::ServiceError &error)
 } // namespace
 
 Router::Router(RouterConfig config)
-    : config_(std::move(config)), ring_(config_.ring)
+    : config_(std::move(config)), ring_(config_.ring),
+      listener_("Router", [this](int fd, uint64_t) {
+          handleConnection(fd);
+      })
 {
     if (config_.port < 0 || config_.port > 65535)
         fatal("Router: port must be in [0, 65535]");
@@ -107,49 +78,15 @@ Router::start()
 {
     if (started_)
         fatal("Router: start() called twice");
-
-    int pipe_fds[2];
-    if (::pipe(pipe_fds) != 0)
-        fatal("Router: pipe: ", std::strerror(errno));
-    wake_read_fd_ = pipe_fds[0];
-    wake_write_fd_ = pipe_fds[1];
-    setCloexec(wake_read_fd_);
-    setCloexec(wake_write_fd_);
-
-    listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (listen_fd_ < 0)
-        fatal("Router: socket: ", std::strerror(errno));
-    setCloexec(listen_fd_);
-    int one = 1;
-    ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one,
-                 sizeof(one));
-
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(static_cast<uint16_t>(config_.port));
-    if (::bind(listen_fd_, reinterpret_cast<sockaddr *>(&addr),
-               sizeof(addr)) != 0)
-        fatal("Router: bind 127.0.0.1:", config_.port, ": ",
-              std::strerror(errno));
-    if (::listen(listen_fd_, 64) != 0)
-        fatal("Router: listen: ", std::strerror(errno));
-
-    socklen_t len = sizeof(addr);
-    if (::getsockname(listen_fd_, reinterpret_cast<sockaddr *>(&addr),
-                      &len) != 0)
-        fatal("Router: getsockname: ", std::strerror(errno));
-    port_ = ntohs(addr.sin_port);
-
     started_at_ = std::chrono::steady_clock::now();
-    started_ = true;
 
     // One synchronous probe round before accepting traffic: routing
     // decisions are well-defined the moment start() returns, with no
     // window where every request bounces off an unprobed fleet.
     probeBackends();
 
-    accept_thread_ = std::thread([this] { acceptLoop(); });
+    listener_.start(config_.port, 0.0, config_.send_timeout_s);
+    started_ = true;
     health_thread_ = std::thread([this] { healthLoop(); });
 
     if (config_.http_port >= 0) {
@@ -168,14 +105,7 @@ Router::start()
 void
 Router::installSignalHandlers()
 {
-    if (!started_)
-        fatal("Router: installSignalHandlers() before start()");
-    g_router_wake_fd.store(wake_write_fd_, std::memory_order_relaxed);
-    struct sigaction action{};
-    action.sa_handler = handleRouterSignal;
-    sigemptyset(&action.sa_mask);
-    ::sigaction(SIGINT, &action, nullptr);
-    ::sigaction(SIGTERM, &action, nullptr);
+    listener_.installSignalHandlers();
 }
 
 void
@@ -184,8 +114,7 @@ Router::beginShutdown()
     if (shutting_down_.exchange(true))
         return;
     health_cv_.notify_all();
-    char byte = 'q';
-    [[maybe_unused]] ssize_t rc = ::write(wake_write_fd_, &byte, 1);
+    listener_.requestStop();
 }
 
 void
@@ -195,8 +124,9 @@ Router::wait()
         return;
     waited_ = true;
 
-    if (accept_thread_.joinable())
-        accept_thread_.join();
+    // Returns once beginShutdown() or a signal stopped the accept loop.
+    listener_.awaitStopRequest();
+    shutting_down_.store(true);
     health_cv_.notify_all();
     if (health_thread_.joinable())
         health_thread_.join();
@@ -204,44 +134,19 @@ Router::wait()
     // Half-close the read side only: a reader mid-forward still owns a
     // writable socket, so the in-flight response goes out before its
     // thread sees EOF and exits — the router's version of the drain.
-    std::vector<std::shared_ptr<Connection>> conns;
-    {
-        std::lock_guard<std::mutex> lock(connections_mutex_);
-        conns.swap(connections_);
-    }
-    for (auto &conn : conns) {
-        // The reader closes the fd (and writes -1) under write_mutex;
-        // taking it here keeps this shutdown off a concurrently closed
-        // — possibly already recycled — descriptor.
-        std::lock_guard<std::mutex> lock(conn->write_mutex);
-        if (conn->fd >= 0)
-            ::shutdown(conn->fd, SHUT_RD);
-    }
-    for (auto &conn : conns)
-        if (conn->reader.joinable())
-            conn->reader.join();
-    for (auto &conn : conns)
-        if (conn->fd >= 0) {
-            ::close(conn->fd);
-            conn->fd = -1;
-        }
+    listener_.stop(SHUT_RD);
 
     if (http_)
         http_->stop();
-
-    if (g_router_wake_fd.load() == wake_write_fd_)
-        g_router_wake_fd.store(-1);
-    ::close(listen_fd_);
-    ::close(wake_read_fd_);
-    ::close(wake_write_fd_);
-    listen_fd_ = wake_read_fd_ = wake_write_fd_ = -1;
 }
 
 RouterCounters
 Router::counters() const
 {
     std::lock_guard<std::mutex> lock(counters_mutex_);
-    return counters_;
+    RouterCounters counters = counters_;
+    counters.connections = listener_.accepted();
+    return counters;
 }
 
 size_t
@@ -378,92 +283,15 @@ Router::probeBackends()
 }
 
 void
-Router::reapConnections()
+Router::handleConnection(int fd)
 {
-    std::vector<std::shared_ptr<Connection>> finished;
-    {
-        std::lock_guard<std::mutex> lock(connections_mutex_);
-        auto live_end = std::partition(
-            connections_.begin(), connections_.end(),
-            [](const std::shared_ptr<Connection> &c) {
-                return !c->done.load();
-            });
-        finished.assign(live_end, connections_.end());
-        connections_.erase(live_end, connections_.end());
-    }
-    for (auto &conn : finished)
-        if (conn->reader.joinable())
-            conn->reader.join();
-}
-
-void
-Router::acceptLoop()
-{
-    while (true) {
-        pollfd fds[2] = {
-            {listen_fd_, POLLIN, 0},
-            {wake_read_fd_, POLLIN, 0},
-        };
-        int ready = ::poll(fds, 2, -1);
-        if (ready < 0) {
-            if (errno == EINTR)
-                continue;
-            return;
-        }
-        if (fds[1].revents != 0) {
-            char buf[64];
-            ssize_t got = ::read(wake_read_fd_, buf, sizeof(buf));
-            bool quit = shutting_down_.load();
-            for (ssize_t i = 0; i < got; ++i)
-                quit = quit || buf[i] != 'r';
-            reapConnections();
-            if (quit) {
-                shutting_down_.store(true);
-                return;
-            }
-        }
-        if ((fds[0].revents & POLLIN) == 0)
-            continue;
-
-        int fd = ::accept(listen_fd_, nullptr, nullptr);
-        if (fd < 0)
-            continue;
-        setCloexec(fd);
-        if (config_.send_timeout_s > 0.0) {
-            timeval tv{};
-            tv.tv_sec = static_cast<time_t>(config_.send_timeout_s);
-            tv.tv_usec = static_cast<suseconds_t>(
-                (config_.send_timeout_s -
-                 static_cast<double>(tv.tv_sec)) *
-                1e6);
-            ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
-        }
-
-        auto conn = std::make_shared<Connection>();
-        conn->fd = fd;
-        {
-            std::lock_guard<std::mutex> lock(connections_mutex_);
-            connections_.push_back(conn);
-        }
-        conn->reader = std::thread([this, conn] {
-            handleConnection(conn);
-        });
-        {
-            std::lock_guard<std::mutex> lock(counters_mutex_);
-            ++counters_.connections;
-        }
-    }
-}
-
-void
-Router::handleConnection(std::shared_ptr<Connection> conn)
-{
+    Connection conn{fd};
     std::string payload;
     while (true) {
         service::FrameStatus status = service::readFrame(
-            conn->fd, payload, config_.max_frame_bytes);
+            conn.fd, payload, config_.max_frame_bytes);
         if (status == service::FrameStatus::Oversized) {
-            sendJson(*conn,
+            sendJson(conn,
                      service::makeErrorResponse(
                          Json(),
                          WireError{"oversized_frame",
@@ -484,7 +312,7 @@ Router::handleConnection(std::shared_ptr<Connection> conn)
         try {
             proceed = handleFrame(conn, payload);
         } catch (const std::exception &e) {
-            sendJson(*conn,
+            sendJson(conn,
                      service::makeErrorResponse(
                          Json(),
                          WireError{"internal_error", e.what()}));
@@ -492,26 +320,11 @@ Router::handleConnection(std::shared_ptr<Connection> conn)
         if (!proceed)
             break;
     }
-    ::shutdown(conn->fd, SHUT_WR);
-    timeval tv{1, 0};
-    ::setsockopt(conn->fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-    char sink[256];
-    while (::read(conn->fd, sink, sizeof(sink)) > 0) {
-    }
-    {
-        std::lock_guard<std::mutex> lock(conn->write_mutex);
-        conn->open.store(false);
-        ::close(conn->fd);
-        conn->fd = -1;
-    }
-    conn->done.store(true);
-    char byte = 'r';
-    [[maybe_unused]] ssize_t rc = ::write(wake_write_fd_, &byte, 1);
+    service::lingerBeforeClose(conn.fd);
 }
 
 bool
-Router::handleFrame(const std::shared_ptr<Connection> &conn,
-                    const std::string &payload)
+Router::handleFrame(Connection &conn, const std::string &payload)
 {
     auto arrival = std::chrono::steady_clock::now();
 
@@ -523,7 +336,7 @@ Router::handleFrame(const std::shared_ptr<Connection> &conn,
             std::lock_guard<std::mutex> lock(counters_mutex_);
             ++counters_.malformed;
         }
-        sendJson(*conn,
+        sendJson(conn,
                  service::makeErrorResponse(
                      Json(), WireError{"malformed_frame", e.what()}));
         return true;
@@ -531,7 +344,7 @@ Router::handleFrame(const std::shared_ptr<Connection> &conn,
     if (!request.isObject()) {
         std::lock_guard<std::mutex> lock(counters_mutex_);
         ++counters_.malformed;
-        sendJson(*conn,
+        sendJson(conn,
                  service::makeErrorResponse(
                      Json(),
                      WireError{"malformed_frame",
@@ -544,7 +357,7 @@ Router::handleFrame(const std::shared_ptr<Connection> &conn,
     if (!request.has("verb") || !request.at("verb").isString()) {
         std::lock_guard<std::mutex> lock(counters_mutex_);
         ++counters_.bad_requests;
-        sendJson(*conn,
+        sendJson(conn,
                  service::makeErrorResponse(
                      id, WireError{"bad_request",
                                    "missing string field 'verb'"}));
@@ -556,7 +369,7 @@ Router::handleFrame(const std::shared_ptr<Connection> &conn,
     if (!verb) {
         std::lock_guard<std::mutex> lock(counters_mutex_);
         ++counters_.unknown_verbs;
-        sendJson(*conn,
+        sendJson(conn,
                  service::makeErrorResponse(
                      id, WireError{"unknown_verb",
                                    "unknown verb '" + verb_name +
@@ -582,17 +395,17 @@ Router::handleFrame(const std::shared_ptr<Connection> &conn,
         result.set("healthy",
                    Json::number(
                        static_cast<double>(healthyBackends())));
-        sendJson(*conn, service::makeOkResponse(id, std::move(result)));
+        sendJson(conn, service::makeOkResponse(id, std::move(result)));
         return true;
     }
     case service::Verb::Stats: {
-        sendJson(*conn, service::makeOkResponse(id, statsJson()));
+        sendJson(conn, service::makeOkResponse(id, statsJson()));
         return true;
     }
     case service::Verb::Shutdown: {
         Json result = Json::object();
         result.set("draining", Json::boolean(true));
-        sendJson(*conn, service::makeOkResponse(id, std::move(result)));
+        sendJson(conn, service::makeOkResponse(id, std::move(result)));
         beginShutdown();
         return true;
     }
@@ -610,7 +423,7 @@ Router::handleFrame(const std::shared_ptr<Connection> &conn,
             std::lock_guard<std::mutex> lock(counters_mutex_);
             ++counters_.bad_requests;
         }
-        sendJson(*conn,
+        sendJson(conn,
                  service::makeErrorResponse(
                      id, WireError{"bad_request", e.what()}));
         return true;
@@ -622,7 +435,7 @@ Router::handleFrame(const std::shared_ptr<Connection> &conn,
         if (!raw.isNumber() || !(ms >= 0) || ms > 3.6e6) {
             std::lock_guard<std::mutex> lock(counters_mutex_);
             ++counters_.bad_requests;
-            sendJson(*conn,
+            sendJson(conn,
                      service::makeErrorResponse(
                          id,
                          WireError{
@@ -637,7 +450,7 @@ Router::handleFrame(const std::shared_ptr<Connection> &conn,
         auto deadline = arrival + std::chrono::microseconds(
                                       static_cast<int64_t>(ms * 1e3));
         if (std::chrono::steady_clock::now() >= deadline) {
-            sendJson(*conn,
+            sendJson(conn,
                      service::makeErrorResponse(
                          id,
                          WireError{"deadline_exceeded",
@@ -696,8 +509,7 @@ class RelaySink : public service::StreamSink
 } // namespace
 
 void
-Router::forward(const std::shared_ptr<Connection> &conn,
-                const Json &id, service::Verb verb,
+Router::forward(Connection &conn, const Json &id, service::Verb verb,
                 const std::string &routing_key, Json params,
                 bool accept_stream)
 {
@@ -717,7 +529,7 @@ Router::forward(const std::shared_ptr<Connection> &conn,
                     std::lock_guard<std::mutex> lock(counters_mutex_);
                     ++counters_.cache_hits;
                 }
-                sendJson(*conn, service::makeOkResponse(
+                sendJson(conn, service::makeOkResponse(
                                     id, std::move(result)));
                 return;
             } catch (const service::JsonError &) {
@@ -747,7 +559,7 @@ Router::forward(const std::shared_ptr<Connection> &conn,
             std::lock_guard<std::mutex> lock(counters_mutex_);
             ++counters_.no_backend;
         }
-        sendJson(*conn,
+        sendJson(conn,
                  service::makeErrorResponse(
                      id, WireError{"overloaded",
                                    "no healthy backend",
@@ -782,7 +594,7 @@ Router::forward(const std::shared_ptr<Connection> &conn,
     // fresh stream_begin restarts the downstream reassembly.
     RelaySink sink(
         [this, &conn](const Json &frame) {
-            return sendJsonChecked(*conn, frame);
+            return sendJsonChecked(conn, frame);
         },
         id);
     service::StreamSink *relay = accept_stream ? &sink : nullptr;
@@ -799,7 +611,7 @@ Router::forward(const std::shared_ptr<Connection> &conn,
             // health thread revives the backend when it answers again.
             primary->healthy.store(false);
             if (!fallback) {
-                sendJson(*conn, service::makeErrorResponse(
+                sendJson(conn, service::makeErrorResponse(
                                     id, relayError(primary_error)));
                 return;
             }
@@ -809,7 +621,7 @@ Router::forward(const std::shared_ptr<Connection> &conn,
                     service::verbName(verb), params, relay);
                 served = fallback;
             } catch (const service::ServiceError &fallback_error) {
-                sendJson(*conn, service::makeErrorResponse(
+                sendJson(conn, service::makeErrorResponse(
                                     id, relayError(fallback_error)));
                 return;
             }
@@ -824,12 +636,12 @@ Router::forward(const std::shared_ptr<Connection> &conn,
                 // The hedge failing must not rewrite the admission
                 // story: relay the PRIMARY owner's reject with its
                 // retry_after_ms hint byte-for-byte intact.
-                sendJson(*conn, service::makeErrorResponse(
+                sendJson(conn, service::makeErrorResponse(
                                     id, relayError(primary_error)));
                 return;
             }
         } else {
-            sendJson(*conn, service::makeErrorResponse(
+            sendJson(conn, service::makeErrorResponse(
                                 id, relayError(primary_error)));
             return;
         }
@@ -848,7 +660,7 @@ Router::forward(const std::shared_ptr<Connection> &conn,
     }
     if (cacheable && cache_->storeText(cache_key, result.dump()))
         bump(&RouterCounters::cache_stores);
-    sendJson(*conn, service::makeOkResponse(id, std::move(result)));
+    sendJson(conn, service::makeOkResponse(id, std::move(result)));
 }
 
 void
@@ -860,11 +672,10 @@ Router::sendJson(Connection &conn, const Json &response)
 bool
 Router::sendJsonChecked(Connection &conn, const Json &response)
 {
-    std::lock_guard<std::mutex> lock(conn.write_mutex);
-    if (!conn.open.load())
+    if (!conn.open)
         return false;
     if (!service::writeFrame(conn.fd, response.dump())) {
-        conn.open.store(false);
+        conn.open = false;
         ::shutdown(conn.fd, SHUT_RDWR);
         return false;
     }

@@ -61,6 +61,7 @@
 #include "router/ring.hh"
 #include "runtime/cache.hh"
 #include "service/http.hh"
+#include "service/listener.hh"
 #include "service/metrics.hh"
 #include "service/resilient.hh"
 
@@ -178,20 +179,24 @@ class Router
     Router &operator=(const Router &) = delete;
 
     /**
-     * Bind, probe every backend once (so routing is ready the moment
-     * this returns), and spawn the accept loop + health thread.
+     * Probe every backend once (so routing is ready the moment this
+     * returns), bind, and spawn the accept loop + health thread.
      * fatal() on bind failure — an unreachable backend is NOT fatal,
      * it is simply unhealthy until a probe succeeds.
      */
     void start();
 
     /** The bound port (resolves port 0 after start()). */
-    int port() const { return port_; }
+    int port() const { return listener_.port(); }
 
     /** Bound gateway port after start(); -1 when disabled. */
     int httpPort() const { return http_ ? http_->port() : -1; }
 
-    /** Route SIGINT/SIGTERM to beginShutdown() (one per process). */
+    /**
+     * Route SIGINT/SIGTERM to beginShutdown() (one per process); a
+     * SECOND signal forces immediate process exit (status 130), as
+     * for vnoised. Call after start().
+     */
     void installSignalHandlers();
 
     /** Async-signal-safe shutdown trigger; returns immediately. */
@@ -229,23 +234,22 @@ class Router
         std::string advertise; //!< last probed; under state_mutex_
     };
 
+    /**
+     * One client connection. Every write to it happens on its own
+     * reader thread (forwards, relays and hedges are synchronous), so
+     * it needs no lock.
+     */
     struct Connection
     {
-        int fd = -1;
-        std::mutex write_mutex;
-        std::atomic<bool> open{true};
-        std::thread reader;
-        std::atomic<bool> done{false};
+        int fd = -1;      //!< owned by the listener
+        bool open = true; //!< false after a failed write
     };
 
-    void acceptLoop();
-    void reapConnections();
     void healthLoop();
     void probeBackends();
-    void handleConnection(std::shared_ptr<Connection> conn);
-    bool handleFrame(const std::shared_ptr<Connection> &conn,
-                     const std::string &payload);
-    void forward(const std::shared_ptr<Connection> &conn,
+    void handleConnection(int fd);
+    bool handleFrame(Connection &conn, const std::string &payload);
+    void forward(Connection &conn,
                  const service::Json &id, service::Verb verb,
                  const std::string &routing_key, service::Json params,
                  bool accept_stream);
@@ -266,14 +270,9 @@ class Router
     service::MetricsRegistry metrics_;
     std::unique_ptr<service::HttpGateway> http_;
 
-    int listen_fd_ = -1;
-    int wake_read_fd_ = -1;
-    int wake_write_fd_ = -1;
-    int port_ = 0;
     std::atomic<bool> shutting_down_{false};
     bool started_ = false;
     bool waited_ = false;
-    std::thread accept_thread_;
     std::thread health_thread_;
     std::chrono::steady_clock::time_point started_at_;
 
@@ -283,11 +282,10 @@ class Router
     std::mutex health_mutex_; //!< pairs with health_cv_ only
     std::condition_variable health_cv_;
 
-    mutable std::mutex connections_mutex_;
-    std::vector<std::shared_ptr<Connection>> connections_;
-
     mutable std::mutex counters_mutex_;
-    RouterCounters counters_;
+    RouterCounters counters_; //!< `connections` comes from listener_
+
+    service::Listener listener_; //!< last: its threads use the above
 };
 
 } // namespace vn::router

@@ -6,11 +6,8 @@
 #include <utility>
 
 #include "runtime/hash.hh"
+#include "service/listener.hh"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <poll.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
 namespace vn::service
@@ -42,39 +39,11 @@ Client::connect(int port)
     // a failed connect() must leave the object exactly as it was (still
     // usable, never half-constructed), so a caller can retry connect()
     // or keep using the previous connection.
-    int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    int fd = dialLoopback(port);
     if (fd < 0)
         throw ServiceError("io_error",
-                           std::string("socket: ") +
-                               std::strerror(errno));
-
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(static_cast<uint16_t>(port));
-    while (::connect(fd, reinterpret_cast<sockaddr *>(&addr),
-                     sizeof(addr)) != 0) {
-        if (errno == EINTR) {
-            // POSIX: an interrupted connect() completes asynchronously.
-            // Wait for writability, then read the real outcome from
-            // SO_ERROR instead of treating the signal as a failure.
-            pollfd pfd{fd, POLLOUT, 0};
-            while (::poll(&pfd, 1, -1) < 0 && errno == EINTR) {
-            }
-            int err = 0;
-            socklen_t len = sizeof(err);
-            if (::getsockopt(fd, SOL_SOCKET, SO_ERROR, &err, &len) != 0)
-                err = errno;
-            if (err == 0)
-                break;
-            errno = err;
-        }
-        int saved = errno;
-        ::close(fd);
-        throw ServiceError("io_error",
                            "connect 127.0.0.1:" + std::to_string(port) +
-                               ": " + std::strerror(saved));
-    }
+                               ": " + std::strerror(errno));
     close();
     fd_ = fd;
 }

@@ -1,17 +1,11 @@
 #include "service/faultnet.hh"
 
-#include <cerrno>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <sstream>
 #include <stdexcept>
+#include <thread>
 
-#include <arpa/inet.h>
-#include <fcntl.h>
-#include <netinet/in.h>
-#include <poll.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
 #include "service/json.hh"
@@ -24,14 +18,6 @@ namespace vn::service
 namespace
 {
 
-void
-setCloexec(int fd)
-{
-    int flags = ::fcntl(fd, F_GETFD);
-    if (flags >= 0)
-        ::fcntl(fd, F_SETFD, flags | FD_CLOEXEC);
-}
-
 /** The 4-byte big-endian frame header for a payload of `n` bytes. */
 std::string
 frameHeader(size_t n)
@@ -42,44 +28,6 @@ frameHeader(size_t n)
     header[2] = static_cast<char>((n >> 8) & 0xff);
     header[3] = static_cast<char>(n & 0xff);
     return header;
-}
-
-/** write(2) every byte, surviving EINTR and partial writes. */
-bool
-sendAll(int fd, const char *data, size_t len)
-{
-    size_t sent = 0;
-    while (sent < len) {
-        ssize_t n = ::write(fd, data + sent, len - sent);
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            return false;
-        }
-        sent += static_cast<size_t>(n);
-    }
-    return true;
-}
-
-int
-dialLoopback(int port)
-{
-    int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd < 0)
-        return -1;
-    setCloexec(fd);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(static_cast<uint16_t>(port));
-    while (::connect(fd, reinterpret_cast<sockaddr *>(&addr),
-                     sizeof(addr)) != 0) {
-        if (errno == EINTR)
-            continue;
-        ::close(fd);
-        return -1;
-    }
-    return fd;
 }
 
 /** %.17g: every double the schedule carries round-trips bit-exactly
@@ -328,7 +276,10 @@ FaultSchedule::operator==(const FaultSchedule &other) const
 // FaultProxy
 
 FaultProxy::FaultProxy(int upstream_port, FaultSchedule schedule)
-    : upstream_port_(upstream_port), schedule_(std::move(schedule))
+    : upstream_port_(upstream_port), schedule_(std::move(schedule)),
+      listener_("FaultProxy", [this](int fd, uint64_t index) {
+          relayConnection(fd, index);
+      })
 {}
 
 FaultProxy::~FaultProxy()
@@ -339,158 +290,76 @@ FaultProxy::~FaultProxy()
 void
 FaultProxy::start()
 {
-    if (started_)
-        fatal("FaultProxy: start() called twice");
-
-    int pipe_fds[2];
-    if (::pipe(pipe_fds) != 0)
-        fatal("FaultProxy: pipe: ", std::strerror(errno));
-    wake_read_fd_ = pipe_fds[0];
-    wake_write_fd_ = pipe_fds[1];
-    setCloexec(wake_read_fd_);
-    setCloexec(wake_write_fd_);
-
-    listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (listen_fd_ < 0)
-        fatal("FaultProxy: socket: ", std::strerror(errno));
-    setCloexec(listen_fd_);
-    int one = 1;
-    ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one,
-                 sizeof(one));
-
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = 0; // ephemeral: the proxy is a test fixture
-    if (::bind(listen_fd_, reinterpret_cast<sockaddr *>(&addr),
-               sizeof(addr)) != 0)
-        fatal("FaultProxy: bind: ", std::strerror(errno));
-    if (::listen(listen_fd_, 64) != 0)
-        fatal("FaultProxy: listen: ", std::strerror(errno));
-
-    socklen_t len = sizeof(addr);
-    if (::getsockname(listen_fd_, reinterpret_cast<sockaddr *>(&addr),
-                      &len) != 0)
-        fatal("FaultProxy: getsockname: ", std::strerror(errno));
-    port_ = ntohs(addr.sin_port);
-
-    started_ = true;
-    accept_thread_ = std::thread([this] { acceptLoop(); });
+    listener_.start(0); // ephemeral: the proxy is a test fixture
 }
 
 void
 FaultProxy::stop()
 {
-    if (!started_ || stopped_)
-        return;
-    stopped_ = true;
-
-    char byte = 'q';
-    [[maybe_unused]] ssize_t rc = ::write(wake_write_fd_, &byte, 1);
-    if (accept_thread_.joinable())
-        accept_thread_.join();
-
-    std::vector<std::shared_ptr<ProxyConnection>> conns;
     {
+        // A relay blocked reading its upstream never notices the
+        // client side being shut down, so wake it from this end.
         std::lock_guard<std::mutex> lock(mutex_);
-        conns.swap(connections_);
+        stopping_ = true;
+        for (int fd : upstreams_)
+            ::shutdown(fd, SHUT_RDWR);
     }
-    for (auto &conn : conns) {
-        conn->open.store(false);
-        int cfd = conn->client_fd.load();
-        if (cfd >= 0)
-            ::shutdown(cfd, SHUT_RDWR);
-        // A relay that dials after this load sees open == false and
-        // shuts the fresh upstream down itself (see relayConnection).
-        int ufd = conn->upstream_fd.load();
-        if (ufd >= 0)
-            ::shutdown(ufd, SHUT_RDWR);
-    }
-    for (auto &conn : conns) {
-        if (conn->relay.joinable())
-            conn->relay.join();
-        int cfd = conn->client_fd.exchange(-1);
-        if (cfd >= 0)
-            ::close(cfd);
-        int ufd = conn->upstream_fd.exchange(-1);
-        if (ufd >= 0)
-            ::close(ufd);
-    }
-
-    ::close(listen_fd_);
-    ::close(wake_read_fd_);
-    ::close(wake_write_fd_);
-    listen_fd_ = wake_read_fd_ = wake_write_fd_ = -1;
+    listener_.stop(SHUT_RDWR);
 }
 
 FaultProxyCounters
 FaultProxy::counters() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    return counters_;
+    FaultProxyCounters counters = counters_;
+    counters.connections = listener_.accepted();
+    return counters;
 }
 
-void
-FaultProxy::acceptLoop()
+int
+FaultProxy::dialUpstream()
 {
-    while (true) {
-        pollfd fds[2] = {
-            {listen_fd_, POLLIN, 0},
-            {wake_read_fd_, POLLIN, 0},
-        };
-        int ready = ::poll(fds, 2, -1);
-        if (ready < 0) {
-            if (errno == EINTR)
-                continue;
-            return;
-        }
-        if (fds[1].revents != 0)
-            return; // stop() woke us
-        if ((fds[0].revents & POLLIN) == 0)
-            continue;
-
-        int fd = ::accept(listen_fd_, nullptr, nullptr);
-        if (fd < 0)
-            continue;
-        setCloexec(fd);
-
-        uint64_t conn_index = next_connection_.fetch_add(1);
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            ++counters_.connections;
-        }
-        if (schedule_.connectionRefused(conn_index)) {
-            // The TCP handshake already completed in the backlog, so
-            // "refused" manifests as an immediate hangup — the client
-            // sees io_error on its first exchange, same as a daemon
-            // that died between connect and call.
-            {
-                std::lock_guard<std::mutex> lock(mutex_);
-                ++counters_.refused;
-            }
-            ::close(fd);
-            continue;
-        }
-
-        auto conn = std::make_shared<ProxyConnection>();
-        conn->client_fd = fd;
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            connections_.push_back(conn);
-        }
-        conn->relay = std::thread([this, conn] {
-            relayConnection(conn);
-        });
+    int fd = dialLoopback(upstream_port_);
+    if (fd < 0)
+        return -1;
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (stopping_) {
+        // stop() already swept the upstreams; this one would be missed.
+        ::close(fd);
+        return -1;
     }
+    upstreams_.insert(fd);
+    return fd;
 }
 
 void
-FaultProxy::relayConnection(const std::shared_ptr<ProxyConnection> &conn)
+FaultProxy::closeUpstream(int fd)
 {
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        upstreams_.erase(fd);
+    }
+    ::close(fd);
+}
+
+void
+FaultProxy::relayConnection(int client_fd, uint64_t conn_index)
+{
+    if (schedule_.connectionRefused(conn_index)) {
+        // The TCP handshake already completed in the backlog, so
+        // "refused" manifests as an immediate hangup — the client
+        // sees io_error on its first exchange, same as a daemon
+        // that died between connect and call.
+        std::lock_guard<std::mutex> lock(mutex_);
+        ++counters_.refused;
+        return;
+    }
+
+    int upstream = -1;
     std::string payload;
-    while (conn->open.load()) {
-        FrameStatus status = readFrame(conn->client_fd, payload,
-                                       kDefaultMaxFrameBytes);
+    while (true) {
+        FrameStatus status =
+            readFrame(client_fd, payload, kDefaultMaxFrameBytes);
         if (status != FrameStatus::Ok)
             break;
         uint64_t index = next_request_.fetch_add(1);
@@ -518,26 +387,18 @@ FaultProxy::relayConnection(const std::shared_ptr<ProxyConnection> &conn)
             WireError error{"overloaded",
                             "faultnet: injected overload",
                             action.retry_after_ms};
-            if (!writeFrame(conn->client_fd,
+            if (!writeFrame(client_fd,
                             makeErrorResponse(id, error).dump()))
                 break;
             continue;
         }
 
-        if (conn->upstream_fd.load() < 0) {
-            int upstream = dialLoopback(upstream_port_);
+        if (upstream < 0) {
+            upstream = dialUpstream();
             if (upstream < 0)
                 break;
-            conn->upstream_fd.store(upstream);
-            if (!conn->open.load()) {
-                // stop() swept the fds before this one was published,
-                // so shutting the fresh socket down is on us (close
-                // still happens in stop(), after the join).
-                ::shutdown(upstream, SHUT_RDWR);
-                break;
-            }
         }
-        if (!writeFrame(conn->upstream_fd, payload))
+        if (!writeFrame(upstream, payload))
             break;
         // Relay every frame of the response: one frame for ordinary
         // calls, begin/chunk.../end for a chunked stream. The proxy
@@ -548,8 +409,8 @@ FaultProxy::relayConnection(const std::shared_ptr<ProxyConnection> &conn)
         bool more = true;
         while (more) {
             std::string response;
-            if (readFrame(conn->upstream_fd, response,
-                          kDefaultMaxFrameBytes) != FrameStatus::Ok) {
+            if (readFrame(upstream, response, kDefaultMaxFrameBytes) !=
+                FrameStatus::Ok) {
                 severed = true;
                 break;
             }
@@ -562,7 +423,7 @@ FaultProxy::relayConnection(const std::shared_ptr<ProxyConnection> &conn)
             }
             more = kind == StreamFrameKind::Begin ||
                    kind == StreamFrameKind::Chunk;
-            if (!applyResponseAction(conn, action, response, !more,
+            if (!applyResponseAction(client_fd, action, response, !more,
                                      cumulative_wire)) {
                 severed = true;
                 break;
@@ -571,23 +432,14 @@ FaultProxy::relayConnection(const std::shared_ptr<ProxyConnection> &conn)
         if (severed)
             break;
     }
-    conn->open.store(false);
-    // Surface EOF to both sides; the fds are closed by stop() after
-    // this thread is joined (closing here would race a stop() that is
-    // concurrently shutdown()ing the same descriptors).
-    int cfd = conn->client_fd.load();
-    if (cfd >= 0)
-        ::shutdown(cfd, SHUT_RDWR);
-    int ufd = conn->upstream_fd.load();
-    if (ufd >= 0)
-        ::shutdown(ufd, SHUT_RDWR);
+    if (upstream >= 0)
+        closeUpstream(upstream);
 }
 
 bool
-FaultProxy::applyResponseAction(
-    const std::shared_ptr<ProxyConnection> &conn,
-    const FaultAction &action, const std::string &payload,
-    bool last_frame, size_t &cumulative_wire)
+FaultProxy::applyResponseAction(int client_fd, const FaultAction &action,
+                                const std::string &payload,
+                                bool last_frame, size_t &cumulative_wire)
 {
     switch (action.kind) {
     case FaultAction::Kind::CutMidFrame: {
@@ -606,7 +458,7 @@ FaultProxy::applyResponseAction(
                 std::lock_guard<std::mutex> lock(mutex_);
                 ++counters_.relayed_stream_frames;
             }
-            return sendAll(conn->client_fd, wire.data(), wire.size());
+            return sendAll(client_fd, wire);
         }
         size_t n = std::min(action.bytes > cumulative_wire
                                 ? action.bytes - cumulative_wire
@@ -617,7 +469,7 @@ FaultProxy::applyResponseAction(
             std::lock_guard<std::mutex> lock(mutex_);
             ++counters_.injected_cuts;
         }
-        sendAll(conn->client_fd, wire.data(), n);
+        sendAll(client_fd, wire.data(), n);
         return false;
     }
     case FaultAction::Kind::TruncateFrame: {
@@ -630,7 +482,7 @@ FaultProxy::applyResponseAction(
             std::lock_guard<std::mutex> lock(mutex_);
             ++counters_.injected_truncations;
         }
-        sendAll(conn->client_fd, wire.data(), wire.size());
+        sendAll(client_fd, wire);
         return false;
     }
     case FaultAction::Kind::DelayMs: {
@@ -659,7 +511,7 @@ FaultProxy::applyResponseAction(
         else
             ++counters_.relayed_stream_frames;
     }
-    return writeFrame(conn->client_fd, payload);
+    return writeFrame(client_fd, payload);
 }
 
 // ---------------------------------------------------------------------

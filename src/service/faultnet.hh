@@ -34,14 +34,12 @@
 #include <atomic>
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <set>
 #include <string>
-#include <thread>
-#include <vector>
 
 #include "service/dispatcher.hh"
+#include "service/listener.hh"
 #include "service/protocol.hh"
 
 namespace vn::service
@@ -168,23 +166,16 @@ class FaultProxy
     void stop();
 
     /** The port clients dial (valid after start()). */
-    int port() const { return port_; }
+    int port() const { return listener_.port(); }
 
     FaultProxyCounters counters() const;
 
   private:
-    struct ProxyConnection
-    {
-        // Atomic because the relay thread publishes upstream_fd while
-        // stop() concurrently reads both fds to shut them down.
-        std::atomic<int> client_fd{-1};
-        std::atomic<int> upstream_fd{-1};
-        std::thread relay;
-        std::atomic<bool> open{true};
-    };
+    void relayConnection(int client_fd, uint64_t conn_index);
 
-    void acceptLoop();
-    void relayConnection(const std::shared_ptr<ProxyConnection> &conn);
+    /** Dial the upstream for one relay; -1 once stop() has begun. */
+    int dialUpstream();
+    void closeUpstream(int fd);
 
     /**
      * Apply `action` to one frame of an upstream response; returns
@@ -194,28 +185,21 @@ class FaultProxy
      * wire bytes relayed so far for this response (headers included)
      * so CutMidFrame can land mid-stream.
      */
-    bool applyResponseAction(const std::shared_ptr<ProxyConnection> &conn,
-                             const FaultAction &action,
+    bool applyResponseAction(int client_fd, const FaultAction &action,
                              const std::string &payload,
                              bool last_frame, size_t &cumulative_wire);
 
     int upstream_port_;
     FaultSchedule schedule_;
 
-    int listen_fd_ = -1;
-    int wake_read_fd_ = -1;
-    int wake_write_fd_ = -1;
-    int port_ = -1;
-    bool started_ = false;
-    bool stopped_ = false;
-    std::thread accept_thread_;
-
-    std::atomic<uint64_t> next_connection_{0};
     std::atomic<uint64_t> next_request_{0};
 
-    mutable std::mutex mutex_; //!< guards connections_ and counters_
-    std::vector<std::shared_ptr<ProxyConnection>> connections_;
-    FaultProxyCounters counters_;
+    mutable std::mutex mutex_; //!< guards the three members below
+    FaultProxyCounters counters_; //!< `connections` from listener_
+    std::set<int> upstreams_;     //!< live relays' upstream sockets
+    bool stopping_ = false;
+
+    Listener listener_; //!< last: its threads use every member above
 };
 
 /**

@@ -5,12 +5,6 @@
 #include <cstring>
 #include <future>
 
-#include <arpa/inet.h>
-#include <fcntl.h>
-#include <netinet/in.h>
-#include <poll.h>
-#include <sys/socket.h>
-#include <sys/time.h>
 #include <unistd.h>
 
 #include "util/logging.hh"
@@ -77,43 +71,6 @@ reasonPhrase(int status)
     case 504: return "Gateway Timeout";
     default: return "Response";
     }
-}
-
-bool
-writeAll(int fd, const std::string &bytes)
-{
-    size_t done = 0;
-    while (done < bytes.size()) {
-        ssize_t put = ::send(fd, bytes.data() + done,
-                             bytes.size() - done, MSG_NOSIGNAL);
-        if (put < 0) {
-            if (errno == EINTR)
-                continue;
-            return false;
-        }
-        done += static_cast<size_t>(put);
-    }
-    return true;
-}
-
-void
-setCloexec(int fd)
-{
-    int flags = ::fcntl(fd, F_GETFD);
-    if (flags >= 0)
-        ::fcntl(fd, F_SETFD, flags | FD_CLOEXEC);
-}
-
-void
-setSocketTimeout(int fd, int option, double seconds)
-{
-    if (seconds <= 0.0)
-        return;
-    timeval tv{};
-    tv.tv_sec = static_cast<time_t>(seconds);
-    tv.tv_usec = static_cast<suseconds_t>(
-        (seconds - static_cast<double>(tv.tv_sec)) * 1e6);
-    ::setsockopt(fd, SOL_SOCKET, option, &tv, sizeof(tv));
 }
 
 std::string
@@ -349,21 +306,12 @@ readHttpResponse(int fd, std::string &buffer, HttpResponse &out)
 HttpResponse
 httpRequestForTest(int port, const std::string &raw)
 {
-    int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    int fd = dialLoopback(port);
     if (fd < 0)
-        throw std::runtime_error("httpRequestForTest: socket failed");
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(static_cast<uint16_t>(port));
-    if (::connect(fd, reinterpret_cast<sockaddr *>(&addr),
-                  sizeof(addr)) != 0) {
-        ::close(fd);
         throw std::runtime_error("httpRequestForTest: connect failed");
-    }
     HttpResponse response;
     std::string buffer;
-    bool ok = writeAll(fd, raw) &&
+    bool ok = sendAll(fd, raw) &&
               readHttpResponse(fd, buffer, response);
     ::close(fd);
     if (!ok)
@@ -466,7 +414,10 @@ HttpGateway::HttpGateway(Dispatcher *dispatcher,
                          MetricsRegistry &metrics, HttpConfig config,
                          Hooks hooks)
     : dispatcher_(dispatcher), metrics_(metrics), config_(config),
-      hooks_(std::move(hooks))
+      hooks_(std::move(hooks)),
+      listener_("HttpGateway", [this](int fd, uint64_t) {
+          handleConnection(fd);
+      })
 {
     if (config_.port < 0 || config_.port > 65535)
         fatal("HttpGateway: port must be in [0, 65535]");
@@ -482,152 +433,19 @@ HttpGateway::~HttpGateway()
 void
 HttpGateway::start()
 {
-    if (started_)
-        fatal("HttpGateway: start() called twice");
-
-    int pipe_fds[2];
-    if (::pipe(pipe_fds) != 0)
-        fatal("HttpGateway: pipe: ", std::strerror(errno));
-    wake_read_fd_ = pipe_fds[0];
-    wake_write_fd_ = pipe_fds[1];
-    setCloexec(wake_read_fd_);
-    setCloexec(wake_write_fd_);
-
-    listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (listen_fd_ < 0)
-        fatal("HttpGateway: socket: ", std::strerror(errno));
-    setCloexec(listen_fd_);
-    int one = 1;
-    ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one,
-                 sizeof(one));
-
-    // Loopback only, like the framed listener: this is scrape/debug
-    // surface for the local box, not an exposed network service.
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(static_cast<uint16_t>(config_.port));
-    if (::bind(listen_fd_, reinterpret_cast<sockaddr *>(&addr),
-               sizeof(addr)) != 0)
-        fatal("HttpGateway: bind 127.0.0.1:", config_.port, ": ",
-              std::strerror(errno));
-    if (::listen(listen_fd_, 16) != 0)
-        fatal("HttpGateway: listen: ", std::strerror(errno));
-
-    socklen_t len = sizeof(addr);
-    if (::getsockname(listen_fd_, reinterpret_cast<sockaddr *>(&addr),
-                      &len) != 0)
-        fatal("HttpGateway: getsockname: ", std::strerror(errno));
-    port_ = ntohs(addr.sin_port);
-
-    started_ = true;
-    accept_thread_ = std::thread([this] { acceptLoop(); });
+    listener_.start(config_.port, config_.read_timeout_s,
+                    config_.send_timeout_s);
 }
 
 void
 HttpGateway::stop()
 {
-    if (!started_ || stopped_)
-        return;
-    stopped_ = true;
     stopping_.store(true);
-    char byte = 'q';
-    [[maybe_unused]] ssize_t rc = ::write(wake_write_fd_, &byte, 1);
-    if (accept_thread_.joinable())
-        accept_thread_.join();
-
-    std::vector<std::shared_ptr<Connection>> conns;
-    {
-        std::lock_guard<std::mutex> lock(connections_mutex_);
-        conns.swap(connections_);
-    }
-    for (auto &conn : conns)
-        if (conn->fd >= 0)
-            ::shutdown(conn->fd, SHUT_RDWR);
-    for (auto &conn : conns) {
-        if (conn->worker.joinable())
-            conn->worker.join();
-        if (conn->fd >= 0) {
-            ::close(conn->fd);
-            conn->fd = -1;
-        }
-    }
-
-    ::close(listen_fd_);
-    ::close(wake_read_fd_);
-    ::close(wake_write_fd_);
-    listen_fd_ = wake_read_fd_ = wake_write_fd_ = -1;
+    listener_.stop(SHUT_RDWR);
 }
 
 void
-HttpGateway::acceptLoop()
-{
-    while (true) {
-        pollfd fds[2] = {
-            {listen_fd_, POLLIN, 0},
-            {wake_read_fd_, POLLIN, 0},
-        };
-        int ready = ::poll(fds, 2, -1);
-        if (ready < 0) {
-            if (errno == EINTR)
-                continue;
-            return;
-        }
-        if (fds[1].revents != 0) {
-            char buf[64];
-            ssize_t got = ::read(wake_read_fd_, buf, sizeof(buf));
-            bool quit = stopping_.load();
-            for (ssize_t i = 0; i < got; ++i)
-                quit = quit || buf[i] != 'r';
-            // Reap finished workers so a long-lived daemon does not
-            // accumulate one joinable thread per past scrape.
-            std::vector<std::shared_ptr<Connection>> finished;
-            {
-                std::lock_guard<std::mutex> lock(connections_mutex_);
-                auto keep = connections_.begin();
-                for (auto &conn : connections_) {
-                    if (conn->done.load())
-                        finished.push_back(conn);
-                    else
-                        *keep++ = conn;
-                }
-                connections_.erase(keep, connections_.end());
-            }
-            for (auto &conn : finished) {
-                if (conn->worker.joinable())
-                    conn->worker.join();
-                if (conn->fd >= 0) {
-                    ::close(conn->fd);
-                    conn->fd = -1;
-                }
-            }
-            if (quit)
-                return;
-        }
-        if ((fds[0].revents & POLLIN) == 0)
-            continue;
-
-        int fd = ::accept(listen_fd_, nullptr, nullptr);
-        if (fd < 0)
-            continue;
-        setCloexec(fd);
-        setSocketTimeout(fd, SO_RCVTIMEO, config_.read_timeout_s);
-        setSocketTimeout(fd, SO_SNDTIMEO, config_.send_timeout_s);
-
-        auto conn = std::make_shared<Connection>();
-        conn->fd = fd;
-        {
-            std::lock_guard<std::mutex> lock(connections_mutex_);
-            connections_.push_back(conn);
-        }
-        conn->worker = std::thread([this, conn] {
-            handleConnection(conn);
-        });
-    }
-}
-
-void
-HttpGateway::handleConnection(const std::shared_ptr<Connection> &conn)
+HttpGateway::handleConnection(int fd)
 {
     std::string buffer;
     while (!stopping_.load()) {
@@ -637,7 +455,7 @@ HttpGateway::handleConnection(const std::shared_ptr<Connection> &conn)
             parseHttpRequest(buffer, request, config_, &detail);
         if (status == HttpParseStatus::NeedMore) {
             char chunk[4096];
-            ssize_t got = ::read(conn->fd, chunk, sizeof(chunk));
+            ssize_t got = ::read(fd, chunk, sizeof(chunk));
             if (got < 0 && errno == EINTR)
                 continue;
             // got == 0: peer closed (possibly mid-request). got < 0
@@ -659,9 +477,8 @@ HttpGateway::handleConnection(const std::shared_ptr<Connection> &conn)
             metrics_.http_errors.add();
             // The stream cannot be trusted for resync after a framing
             // violation: answer, then close.
-            writeAll(conn->fd,
-                     buildHttpResponse(code, "text/plain",
-                                       detail + "\n", {}, true));
+            sendAll(fd, buildHttpResponse(code, "text/plain",
+                                          detail + "\n", {}, true));
             break;
         }
 
@@ -669,15 +486,10 @@ HttpGateway::handleConnection(const std::shared_ptr<Connection> &conn)
         if (const std::string *c = request.header("connection"))
             close = lowered(*c) == "close";
         std::string response = handleRequest(request, close);
-        if (!writeAll(conn->fd, response) || close)
+        if (!sendAll(fd, response) || close)
             break;
         // Leftover bytes in `buffer` are the next pipelined request.
     }
-
-    ::shutdown(conn->fd, SHUT_RDWR);
-    conn->done.store(true);
-    char byte = 'r';
-    [[maybe_unused]] ssize_t rc = ::write(wake_write_fd_, &byte, 1);
 }
 
 std::string

@@ -23,8 +23,9 @@
  * connection are answered in order. A connection that dribbles bytes
  * slower than the read timeout (slow loris) is dropped.
  *
- * One thread per connection, same as the framed listener — the
- * gateway serves scrapers and the odd curl, not thousands of sockets.
+ * One thread per connection on the shared loopback Listener, same as
+ * the framed protocol — the gateway serves scrapers and the odd curl,
+ * not thousands of sockets.
  */
 
 #ifndef VN_SERVICE_HTTP_HH
@@ -33,13 +34,11 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "service/dispatcher.hh"
+#include "service/listener.hh"
 #include "service/metrics.hh"
 
 namespace vn::service
@@ -184,21 +183,13 @@ class HttpGateway
     void start();
 
     /** The bound port (resolves port 0 after start()). */
-    int port() const { return port_; }
+    int port() const { return listener_.port(); }
 
     /** Close the listener, hang up connections, join. Idempotent. */
     void stop();
 
   private:
-    struct Connection
-    {
-        int fd = -1;
-        std::thread worker;
-        std::atomic<bool> done{false};
-    };
-
-    void acceptLoop();
-    void handleConnection(const std::shared_ptr<Connection> &conn);
+    void handleConnection(int fd);
 
     /** Route one parsed request to a serialized response. */
     std::string handleRequest(const HttpRequest &request, bool &close);
@@ -208,18 +199,9 @@ class HttpGateway
     MetricsRegistry &metrics_;
     HttpConfig config_;
     Hooks hooks_;
-
-    int listen_fd_ = -1;
-    int wake_read_fd_ = -1;
-    int wake_write_fd_ = -1;
-    int port_ = 0;
     std::atomic<bool> stopping_{false};
-    bool started_ = false;
-    bool stopped_ = false;
-    std::thread accept_thread_;
 
-    std::mutex connections_mutex_;
-    std::vector<std::shared_ptr<Connection>> connections_;
+    Listener listener_; //!< last: its threads use every member above
 };
 
 } // namespace vn::service

@@ -2,12 +2,11 @@
 
 #include <cerrno>
 #include <cstdio>
-#include <cstring>
 
-#include <sys/socket.h>
 #include <unistd.h>
 
 #include "runtime/hash.hh"
+#include "service/listener.hh"
 
 namespace vn::service
 {
@@ -105,21 +104,7 @@ writeFrame(int fd, const std::string &payload)
 
     std::string frame(reinterpret_cast<char *>(header), 4);
     frame += payload;
-
-    size_t done = 0;
-    while (done < frame.size()) {
-        // MSG_NOSIGNAL: a peer that vanished mid-write must surface as
-        // an error return, not a process-killing SIGPIPE.
-        ssize_t put = ::send(fd, frame.data() + done, frame.size() - done,
-                             MSG_NOSIGNAL);
-        if (put < 0) {
-            if (errno == EINTR)
-                continue;
-            return false;
-        }
-        done += static_cast<size_t>(put);
-    }
-    return true;
+    return sendAll(fd, frame);
 }
 
 Json

@@ -1,19 +1,8 @@
 #include "service/server.hh"
 
 #include <algorithm>
-#include <cerrno>
 #include <cmath>
-#include <csignal>
 #include <cstdio>
-#include <cstring>
-
-#include <arpa/inet.h>
-#include <fcntl.h>
-#include <netinet/in.h>
-#include <poll.h>
-#include <sys/socket.h>
-#include <sys/time.h>
-#include <unistd.h>
 
 #include "analysis/campaigns.hh"
 #include "runtime/cache.hh"
@@ -25,37 +14,6 @@ namespace vn::service
 
 namespace
 {
-
-/** Wake-pipe write end for the signal handlers (one server/process). */
-std::atomic<int> g_signal_wake_fd{-1};
-
-/** Shutdown signals received since installSignalHandlers(). */
-std::atomic<int> g_signal_count{0};
-
-extern "C" void
-handleShutdownSignal(int)
-{
-    if (g_signal_count.fetch_add(1, std::memory_order_relaxed) >= 1) {
-        // Second signal: the operator is done waiting for the
-        // graceful drain. _exit is async-signal-safe and skips every
-        // destructor — nothing below may be trusted mid-drain anyway.
-        ::_exit(130);
-    }
-    int fd = g_signal_wake_fd.load(std::memory_order_relaxed);
-    if (fd >= 0) {
-        char byte = 's';
-        // Best effort: a full pipe means a wake-up is already pending.
-        [[maybe_unused]] ssize_t rc = ::write(fd, &byte, 1);
-    }
-}
-
-void
-setCloexec(int fd)
-{
-    int flags = ::fcntl(fd, F_GETFD);
-    if (flags >= 0)
-        ::fcntl(fd, F_SETFD, flags | FD_CLOEXEC);
-}
 
 /** Interpolated percentile of an unsorted sample (p in [0,100]). */
 double
@@ -75,7 +33,10 @@ percentileOf(std::vector<double> samples, double p)
 } // namespace
 
 Server::Server(const AnalysisContext &ctx, ServerConfig config)
-    : config_(config)
+    : config_(config),
+      listener_("Server", [this](int fd, uint64_t index) {
+          handleConnection(fd, index);
+      })
 {
     if (config_.port < 0 || config_.port > 65535)
         fatal("Server: port must be in [0, 65535]");
@@ -108,48 +69,11 @@ Server::~Server()
 void
 Server::start()
 {
-    if (started_)
-        fatal("Server: start() called twice");
-
-    int pipe_fds[2];
-    if (::pipe(pipe_fds) != 0)
-        fatal("Server: pipe: ", std::strerror(errno));
-    wake_read_fd_ = pipe_fds[0];
-    wake_write_fd_ = pipe_fds[1];
-    setCloexec(wake_read_fd_);
-    setCloexec(wake_write_fd_);
-
-    listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (listen_fd_ < 0)
-        fatal("Server: socket: ", std::strerror(errno));
-    setCloexec(listen_fd_);
-    int one = 1;
-    ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one,
-                 sizeof(one));
-
-    // Loopback only: vnoised is a local co-processor, not an exposed
-    // network service.
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(static_cast<uint16_t>(config_.port));
-    if (::bind(listen_fd_, reinterpret_cast<sockaddr *>(&addr),
-               sizeof(addr)) != 0)
-        fatal("Server: bind 127.0.0.1:", config_.port, ": ",
-              std::strerror(errno));
-    if (::listen(listen_fd_, 64) != 0)
-        fatal("Server: listen: ", std::strerror(errno));
-
-    socklen_t len = sizeof(addr);
-    if (::getsockname(listen_fd_, reinterpret_cast<sockaddr *>(&addr),
-                      &len) != 0)
-        fatal("Server: getsockname: ", std::strerror(errno));
-    port_ = ntohs(addr.sin_port);
-
+    // Set before the accept thread exists: `stats` reads it.
     started_at_ = Dispatcher::Clock::now();
+    listener_.start(config_.port, 0.0, config_.send_timeout_s);
     dispatcher_->start();
     started_ = true;
-    accept_thread_ = std::thread([this] { acceptLoop(); });
 
     if (config_.http_port >= 0) {
         HttpConfig http = config_.http;
@@ -167,15 +91,7 @@ Server::start()
 void
 Server::installSignalHandlers()
 {
-    if (!started_)
-        fatal("Server: installSignalHandlers() before start()");
-    g_signal_wake_fd.store(wake_write_fd_, std::memory_order_relaxed);
-    g_signal_count.store(0, std::memory_order_relaxed);
-    struct sigaction action{};
-    action.sa_handler = handleShutdownSignal;
-    sigemptyset(&action.sa_mask);
-    ::sigaction(SIGINT, &action, nullptr);
-    ::sigaction(SIGTERM, &action, nullptr);
+    listener_.installSignalHandlers();
 }
 
 void
@@ -183,8 +99,7 @@ Server::beginShutdown()
 {
     if (shutting_down_.exchange(true))
         return;
-    char byte = 'q';
-    [[maybe_unused]] ssize_t rc = ::write(wake_write_fd_, &byte, 1);
+    listener_.requestStop();
 }
 
 void
@@ -194,8 +109,9 @@ Server::wait()
         return;
     waited_ = true;
 
-    if (accept_thread_.joinable())
-        accept_thread_.join();
+    // Returns once beginShutdown() or a signal stopped the accept loop.
+    listener_.awaitStopRequest();
+    shutting_down_.store(true);
 
     // Drain first: everything already admitted completes and its
     // response is written before any connection is torn down. With a
@@ -217,142 +133,33 @@ Server::wait()
         dispatcher_->drain();
     }
 
-    std::vector<std::shared_ptr<Connection>> conns;
-    {
-        std::lock_guard<std::mutex> lock(connections_mutex_);
-        conns.swap(connections_);
-    }
-    for (auto &conn : conns) {
-        std::lock_guard<std::mutex> lock(conn->write_mutex);
-        conn->open.store(false);
-        if (conn->fd >= 0)
-            ::shutdown(conn->fd, SHUT_RDWR);
-    }
-    for (auto &conn : conns)
-        if (conn->reader.joinable())
-            conn->reader.join();
-    for (auto &conn : conns)
-        if (conn->fd >= 0) {
-            ::close(conn->fd);
-            conn->fd = -1;
-        }
+    listener_.stop(SHUT_RDWR);
 
     // The gateway outlives the drain so in-flight `/v1/query`
     // responses (completed by the drain above) are still written and
     // `/readyz` reports "draining" until the very end.
     if (http_)
         http_->stop();
-
-    if (g_signal_wake_fd.load() == wake_write_fd_)
-        g_signal_wake_fd.store(-1);
-    ::close(listen_fd_);
-    ::close(wake_read_fd_);
-    ::close(wake_write_fd_);
-    listen_fd_ = wake_read_fd_ = wake_write_fd_ = -1;
 }
 
 ServerCounters
 Server::serverCounters() const
 {
     std::lock_guard<std::mutex> lock(counters_mutex_);
-    return counters_;
-}
-
-size_t
-Server::liveConnectionsForTest() const
-{
-    std::lock_guard<std::mutex> lock(connections_mutex_);
-    return connections_.size();
+    ServerCounters counters = counters_;
+    counters.connections = listener_.accepted();
+    return counters;
 }
 
 void
-Server::reapConnections()
+Server::handleConnection(int fd, uint64_t index)
 {
-    std::vector<std::shared_ptr<Connection>> finished;
-    {
-        std::lock_guard<std::mutex> lock(connections_mutex_);
-        auto live_end = std::partition(
-            connections_.begin(), connections_.end(),
-            [](const std::shared_ptr<Connection> &c) {
-                return !c->done.load();
-            });
-        finished.assign(live_end, connections_.end());
-        connections_.erase(live_end, connections_.end());
-    }
-    for (auto &conn : finished)
-        if (conn->reader.joinable())
-            conn->reader.join();
-}
+    auto conn = std::make_shared<Connection>();
+    conn->fd = fd;
+    // The 1-based accept ordinal doubles as the WFQ flow identity:
+    // stable for the connection's lifetime, never reused.
+    conn->client_id = index + 1;
 
-void
-Server::acceptLoop()
-{
-    while (true) {
-        pollfd fds[2] = {
-            {listen_fd_, POLLIN, 0},
-            {wake_read_fd_, POLLIN, 0},
-        };
-        int ready = ::poll(fds, 2, -1);
-        if (ready < 0) {
-            if (errno == EINTR)
-                continue;
-            return;
-        }
-        if (fds[1].revents != 0) {
-            // Drain the wake pipe: 'r' asks for a connection reap,
-            // anything else ('q' from beginShutdown, 's' from a
-            // signal) means shutdown.
-            char buf[64];
-            ssize_t got = ::read(wake_read_fd_, buf, sizeof(buf));
-            bool quit = shutting_down_.load();
-            for (ssize_t i = 0; i < got; ++i)
-                quit = quit || buf[i] != 'r';
-            reapConnections();
-            if (quit) {
-                shutting_down_.store(true);
-                return;
-            }
-        }
-        if ((fds[0].revents & POLLIN) == 0)
-            continue;
-
-        int fd = ::accept(listen_fd_, nullptr, nullptr);
-        if (fd < 0)
-            continue;
-        setCloexec(fd);
-        if (config_.send_timeout_s > 0.0) {
-            timeval tv{};
-            tv.tv_sec = static_cast<time_t>(config_.send_timeout_s);
-            tv.tv_usec = static_cast<suseconds_t>(
-                (config_.send_timeout_s -
-                 static_cast<double>(tv.tv_sec)) *
-                1e6);
-            ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
-        }
-
-        auto conn = std::make_shared<Connection>();
-        conn->fd = fd;
-        {
-            std::lock_guard<std::mutex> lock(counters_mutex_);
-            // Connection ordinal doubles as the WFQ flow identity:
-            // stable for the connection's lifetime, never reused.
-            conn->client_id = ++counters_.connections;
-        }
-        {
-            std::lock_guard<std::mutex> lock(connections_mutex_);
-            connections_.push_back(conn);
-        }
-        // conn->reader is only touched by this thread (start here,
-        // join in reapConnections) or after it exits (wait()).
-        conn->reader = std::thread([this, conn] {
-            handleConnection(conn);
-        });
-    }
-}
-
-void
-Server::handleConnection(std::shared_ptr<Connection> conn)
-{
     std::string payload;
     while (true) {
         FrameStatus status =
@@ -396,33 +203,14 @@ Server::handleConnection(std::shared_ptr<Connection> conn)
         if (!proceed)
             break;
     }
-    // Surface EOF to the peer, then discard whatever it still has in
-    // flight (bounded by a receive timeout): a hard close with unread
-    // bytes queued — e.g. after an oversized frame — would RST the
-    // connection and could destroy the final response before the peer
-    // reads it.
-    ::shutdown(conn->fd, SHUT_WR);
-    timeval tv{1, 0};
-    ::setsockopt(conn->fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-    char sink[256];
-    while (::read(conn->fd, sink, sizeof(sink)) > 0) {
-    }
+    lingerBeforeClose(conn->fd);
 
-    // Tear the connection down here rather than at server shutdown: a
-    // long-running daemon must not accumulate one fd per short-lived
-    // client. Closing under the write mutex means a completion firing
-    // on the batcher thread either already finished its write or sees
-    // open == false and skips.
-    {
-        std::lock_guard<std::mutex> lock(conn->write_mutex);
-        conn->open.store(false);
-        ::close(conn->fd);
-        conn->fd = -1;
-    }
-    conn->done.store(true);
-    // Ask the accept loop to join this thread and drop the entry.
-    char byte = 'r';
-    [[maybe_unused]] ssize_t rc = ::write(wake_write_fd_, &byte, 1);
+    // The listener closes the socket once this thread is joined. A
+    // completion firing later on the batcher thread takes the write
+    // mutex and sees open == false, so it never writes to a closed —
+    // possibly recycled — descriptor.
+    std::lock_guard<std::mutex> lock(conn->write_mutex);
+    conn->open.store(false);
 }
 
 bool

@@ -29,6 +29,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <csignal>
 #include <cstdlib>
 #include <map>
 #include <memory>
@@ -379,6 +380,23 @@ TEST(Router, NoHealthyOwnerIsARetryableReject)
 
     router.beginShutdown();
     router.wait();
+}
+
+TEST(RouterDeathTest, SecondShutdownSignalExitsWith130)
+{
+    // Like vnoised: a second SIGINT/SIGTERM during a slow drain (a
+    // reader waiting out a backend deadline) exits at once.
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    EXPECT_EXIT(
+        {
+            Router router(routerConfig({{"dead", deadPort(), -1}}));
+            router.start();
+            router.installSignalHandlers();
+            std::raise(SIGTERM); // begins the drain
+            std::raise(SIGTERM); // the operator is done waiting
+            std::_Exit(0);
+        },
+        ::testing::ExitedWithCode(130), "");
 }
 
 TEST(Router, MetricsGatewayExposesRingStateAndDrains)

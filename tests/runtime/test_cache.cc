@@ -20,7 +20,11 @@ class CacheTest : public ::testing::Test
   protected:
     void SetUp() override { std::filesystem::remove_all(dir_); }
     void TearDown() override { std::filesystem::remove_all(dir_); }
-    std::string dir_ = "result_cache_test";
+    // One directory per test: ctest -j runs the cases of this fixture
+    // as concurrent processes in the same working directory.
+    std::string dir_ =
+        std::string("result_cache_test_") +
+        ::testing::UnitTest::GetInstance()->current_test_info()->name();
 };
 
 TEST_F(CacheTest, KeyDependsOnScopeKeyAndVersion)

@@ -39,6 +39,7 @@
 
 #include "service/client.hh"
 #include "service/faultnet.hh"
+#include "service/listener.hh"
 #include "service/resilient.hh"
 #include "service/server.hh"
 
@@ -723,6 +724,62 @@ TEST(Faultnet, RefusedConnectionIsAbsorbedByOneRetry)
     proxy.stop();
     server.beginShutdown();
     server.wait();
+}
+
+TEST(Faultnet, CutRelayIntoAClosedClientIsSeveredNotFatal)
+{
+    // A scripted upstream answers every request with a one-chunk
+    // stream, its three frames ~50 ms apart.
+    const std::string text = "[1,2,3]";
+    Listener upstream("upstream", [&text](int fd, uint64_t) {
+        std::string payload;
+        while (readFrame(fd, payload, kDefaultMaxFrameBytes) ==
+               FrameStatus::Ok) {
+            Json id = Json::parse(payload).at("id");
+            for (const Json &frame :
+                 {makeStreamBegin(id, "trace", text.size(), 1,
+                                  text.size()),
+                  makeStreamChunk(id, 0, text),
+                  makeStreamEnd(id, 1, streamChecksumHex(text))}) {
+                std::this_thread::sleep_for(std::chrono::milliseconds(50));
+                if (!writeFrame(fd, frame.dump()))
+                    return;
+            }
+        }
+    });
+    upstream.start(0);
+
+    // Request 0 is cut past the whole response, so every frame is
+    // relayed until the client is long gone.
+    FaultProxy proxy(upstream.port(), FaultSchedule().cutMidFrame(0, 1 << 20));
+    proxy.start();
+
+    // The client reads the first frame, then hangs up: the chunk draws
+    // an RST, and the proxy's write of the end frame hits EPIPE — which
+    // must be an error return, not a SIGPIPE that kills the process.
+    int fd = dialLoopback(proxy.port());
+    ASSERT_GE(fd, 0);
+    Json request = Json::object();
+    request.set("id", Json::number(1));
+    request.set("verb", Json::str("trace"));
+    request.set("accept_stream", Json::boolean(true));
+    ASSERT_TRUE(writeFrame(fd, request.dump()));
+    std::string first;
+    ASSERT_EQ(readFrame(fd, first, kDefaultMaxFrameBytes), FrameStatus::Ok);
+    ::close(fd);
+
+    for (int i = 0; i < 300 && proxy.counters().injected_cuts == 0; ++i)
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    FaultProxyCounters severed = proxy.counters();
+    EXPECT_EQ(severed.injected_cuts, 1u);
+    EXPECT_EQ(severed.relayed_stream_frames, 2u);
+    EXPECT_EQ(severed.forwarded, 0u);
+
+    // The proxy keeps serving: the next request relays intact.
+    Client client(proxy.port());
+    client.setAcceptStream(true);
+    EXPECT_EQ(client.call("trace", Json::object()).dump(), text);
+    EXPECT_EQ(proxy.counters().forwarded, 1u);
 }
 
 // ---------------------------------------------------------------------

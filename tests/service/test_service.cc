@@ -391,6 +391,25 @@ TEST(Service, SigtermDrainsInFlightRequestsBeforeExit)
     std::signal(SIGTERM, SIG_DFL);
 }
 
+TEST(ServiceDeathTest, SecondShutdownSignalExitsWith130)
+{
+    // The child re-executes this binary, so the server's threads start
+    // in a fresh process rather than in a fork of a threaded one.
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    EXPECT_EXIT(
+        {
+            vn::AnalysisContext ctx; // no kit: nothing is computed
+            ctx.campaign.cache_dir.clear();
+            Server server(ctx, ServerConfig{});
+            server.start();
+            server.installSignalHandlers();
+            std::raise(SIGTERM); // begins the graceful drain
+            std::raise(SIGTERM); // the operator is done waiting
+            std::_Exit(0);
+        },
+        ::testing::ExitedWithCode(130), "");
+}
+
 TEST(Service, DrainTimeoutBoundsShutdownWithAWedgedBatcher)
 {
     // A batch wedged mid-campaign (simulated by a blocking batch
