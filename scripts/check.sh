@@ -3,9 +3,11 @@
 # campaign runtime and serving-stack tests under ThreadSanitizer and
 # run them, replay the lane-batched solver bit-identity suite, replay
 # the faultnet determinism suite under two seeds, run the router
-# fleet fault replay, and finish with the kill-resume campaign replay
-# (SIGKILL mid-flight, --resume, byte-identical artifacts) under two
-# seeds. This is the gate a change must pass before merging.
+# fleet fault replay, run the kill-resume campaign replay (SIGKILL
+# mid-flight, --resume, byte-identical artifacts) under two seeds, and
+# finish with the vnbench smoke run (pinned Fig. 9/12/13 digests and
+# the serving checks). This is the gate a change must pass before
+# merging.
 # (CI additionally runs the serving tests under ASan+UBSan; locally:
 #  cmake --preset asan && cmake --build --preset asan &&
 #  ctest --preset asan.)
@@ -113,5 +115,13 @@ for seed in 17 42; do
         --gtest_filter='FaultFsDeterminism.*'
     scripts/kill_resume_replay.sh "$seed"
 done
+
+echo "== tier 8: vnbench smoke: pinned figure digests and serve checks =="
+# Every workload at ~1/20 size. The figure passes must reproduce the
+# digests pinned in bench/vnbench/digests.json (Fig. 9 sweeps, Fig. 12
+# Vmin margins, Fig. 13 mappings), so a solver, chip or Vmin change
+# cannot silently move a result; the serve workloads check every
+# response against the library's own value.
+python3 bench/vnbench/run.py smoke
 
 echo "== all checks passed =="

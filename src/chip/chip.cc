@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iomanip>
 
 #include "util/logging.hh"
 
@@ -41,8 +42,7 @@ ChipRunResult::noisiestCore() const
 ChipModel::ChipModel(ChipConfig config)
     : config_(std::move(config)), critpath_(config_.critpath)
 {
-    if (config_.bias < 0.0 || config_.bias > 0.3)
-        fatal("ChipModel: bias must be in [0, 0.3], got ", config_.bias);
+    supply_ = supplyAt(config_.bias);
     if (config_.dt <= 0.0)
         fatal("ChipModel: dt must be > 0");
     if (config_.power_unit_amps <= 0.0)
@@ -55,7 +55,6 @@ ChipModel::ChipModel(ChipConfig config)
             config_.variation.core[c].rail_res_scale;
         pdn_config.decap_scale[c] *= config_.variation.core[c].decap_scale;
     }
-    supply_ = pdn_config.vnom * (1.0 - config_.bias);
     pdn_config.vnom = supply_;
     pdn_ = buildZec12Pdn(pdn_config);
 
@@ -65,10 +64,34 @@ ChipModel::ChipModel(ChipConfig config)
     fact_ = FactorizationCache::global().get(pdn_.netlist, config_.dt);
 }
 
+double
+ChipModel::supplyAt(double bias) const
+{
+    if (bias < 0.0 || bias > 0.3)
+        fatal("ChipModel: bias must be in [0, 0.3], got ",
+              std::setprecision(17), bias);
+    return config_.pdn.vnom * (1.0 - bias);
+}
+
 CoreActivity
 ChipModel::idleActivity() const
 {
     return CoreActivity::constant(config_.core.static_power);
+}
+
+void
+ChipModel::fillCurrents(std::array<CoreActivity, kNumCores> &activity,
+                        bool advance, double *currents) const
+{
+    for (int c = 0; c < kNumCores; ++c) {
+        double power = advance ? activity[c].advance(config_.dt)
+                               : activity[c].currentPower();
+        currents[pdn_.core_port[c]] = power * config_.power_unit_amps *
+                                      config_.variation.core[c].power_scale;
+    }
+    currents[pdn_.l3_port] = config_.nest_amps;
+    currents[pdn_.mcu_port] = config_.mcu_amps;
+    currents[pdn_.gx_port] = config_.gx_amps;
 }
 
 ChipRunResult
@@ -99,20 +122,7 @@ ChipModel::run(const std::array<CoreActivity, kNumCores> &workloads,
     TransientSolver sim(fact_);
 
     std::vector<double> currents(pdn_.portCount(), 0.0);
-    auto fill_currents = [&](bool advance) {
-        for (int c = 0; c < kNumCores; ++c) {
-            double power = advance ? activity[c].advance(config_.dt)
-                                   : activity[c].currentPower();
-            currents[pdn_.core_port[c]] =
-                power * config_.power_unit_amps *
-                config_.variation.core[c].power_scale;
-        }
-        currents[pdn_.l3_port] = config_.nest_amps;
-        currents[pdn_.mcu_port] = config_.mcu_amps;
-        currents[pdn_.gx_port] = config_.gx_amps;
-    };
-
-    fill_currents(false);
+    fillCurrents(activity, false, currents.data());
     sim.initDcOperatingPoint(currents);
 
     ChipRunResult result;
@@ -131,7 +141,7 @@ ChipModel::run(const std::array<CoreActivity, kNumCores> &workloads,
     const auto steps =
         static_cast<uint64_t>(std::ceil(duration / config_.dt));
     for (uint64_t k = 0; k < steps; ++k) {
-        fill_currents(true);
+        fillCurrents(activity, true, currents.data());
         sim.step(currents);
         double t = sim.time();
 
@@ -163,9 +173,6 @@ ChipModel::run(const std::array<CoreActivity, kNumCores> &workloads,
         }
 
         meter.sample(supply_, std::fabs(sim.sourceCurrent(0)));
-
-        if (result.failed && options.stop_on_failure)
-            break;
     }
 
     for (int c = 0; c < kNumCores; ++c) {
@@ -213,7 +220,6 @@ ChipModel::runBatch(
         std::array<RunningStats, kNumCores> vstats;
         std::array<RunningStats, kNumSharedUnits> shared_vstats;
         PowerMeter meter;
-        bool active = true;
     };
     std::vector<LaneState> lane_state(lanes);
     for (auto &ls : lane_state) {
@@ -235,20 +241,8 @@ ChipModel::runBatch(
     const size_t num_ports = pdn_.portCount();
     std::vector<double> currents(num_ports * lanes, 0.0);
     auto fill_currents = [&](bool advance) {
-        for (size_t k = 0; k < lanes; ++k) {
-            double *lane_currents = &currents[k * num_ports];
-            for (int c = 0; c < kNumCores; ++c) {
-                double power = advance
-                                   ? activity[k][c].advance(config_.dt)
-                                   : activity[k][c].currentPower();
-                lane_currents[pdn_.core_port[c]] =
-                    power * config_.power_unit_amps *
-                    config_.variation.core[c].power_scale;
-            }
-            lane_currents[pdn_.l3_port] = config_.nest_amps;
-            lane_currents[pdn_.mcu_port] = config_.mcu_amps;
-            lane_currents[pdn_.gx_port] = config_.gx_amps;
-        }
+        for (size_t k = 0; k < lanes; ++k)
+            fillCurrents(activity[k], advance, &currents[k * num_ports]);
     };
 
     fill_currents(false);
@@ -266,7 +260,6 @@ ChipModel::runBatch(
     }
 
     unsigned trace_phase = 0;
-    size_t active_lanes = lanes;
 
     const auto steps =
         static_cast<uint64_t>(std::ceil(duration / config_.dt));
@@ -277,8 +270,6 @@ ChipModel::runBatch(
 
         for (size_t k = 0; k < lanes; ++k) {
             LaneState &ls = lane_state[k];
-            if (!ls.active)
-                continue;
             ChipRunResult &result = results[k];
 
             for (int c = 0; c < kNumCores; ++c) {
@@ -305,23 +296,12 @@ ChipModel::runBatch(
             }
 
             ls.meter.sample(supply_, std::fabs(sim.sourceCurrent(k, 0)));
-
-            // A scalar run would break out of its step loop here; the
-            // batch freezes this lane's sampling instead (its result
-            // fields are already final) and keeps stepping the rest.
-            if (result.failed && options.stop_on_failure) {
-                ls.active = false;
-                --active_lanes;
-            }
         }
 
         if (options.capture_traces &&
             ++trace_phase == options.trace_decimation) {
             trace_phase = 0;
         }
-
-        if (active_lanes == 0)
-            break;
     }
 
     for (size_t k = 0; k < lanes; ++k) {
@@ -346,6 +326,68 @@ ChipModel::runBatch(
         result.avg_power_watts = ls.meter.averageWatts();
     }
     return results;
+}
+
+std::vector<FailureOutcome>
+ChipModel::scanFailures(const std::array<CoreActivity, kNumCores> &workloads,
+                        std::span<const double> biases,
+                        double duration) const
+{
+    if (duration <= 0.0)
+        fatal("ChipModel::scanFailures(): duration must be > 0");
+    const size_t lanes = biases.size();
+    if (lanes == 0)
+        return {};
+
+    // The lanes differ only in the value of the PDN's one voltage
+    // source, the VRM.
+    std::vector<double> supplies;
+    supplies.reserve(lanes);
+    for (double bias : biases)
+        supplies.push_back(supplyAt(bias));
+
+    // Every lane draws the same currents: advance one activity set and
+    // copy its lane into the others.
+    std::array<CoreActivity, kNumCores> activity = workloads;
+    const size_t num_ports = pdn_.portCount();
+    std::vector<double> currents(num_ports * lanes, 0.0);
+    auto fill_currents = [&](bool advance) {
+        fillCurrents(activity, advance, currents.data());
+        for (size_t k = 1; k < lanes; ++k)
+            std::copy_n(currents.data(), num_ports,
+                        currents.data() + k * num_ports);
+    };
+
+    BatchedTransientSolver sim(fact_, lanes);
+    fill_currents(false);
+    sim.initDcOperatingPoint(currents, supplies);
+
+    std::vector<FailureOutcome> outcomes(lanes);
+    size_t pending = lanes;
+    const auto steps =
+        static_cast<uint64_t>(std::ceil(duration / config_.dt));
+    for (uint64_t step = 0; step < steps && pending > 0; ++step) {
+        fill_currents(true);
+        sim.step(currents, supplies);
+        const double t = sim.time();
+
+        for (size_t k = 0; k < lanes; ++k) {
+            FailureOutcome &outcome = outcomes[k];
+            if (outcome.failed)
+                continue;
+            for (int c = 0; c < kNumCores; ++c) {
+                if (critpath_.violates(
+                        sim.nodeVoltage(k, pdn_.core_node[c]))) {
+                    outcome.failed = true;
+                    outcome.failure_time = t;
+                    outcome.failing_core = c;
+                    --pending;
+                    break;
+                }
+            }
+        }
+    }
+    return outcomes;
 }
 
 } // namespace vn

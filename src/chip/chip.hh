@@ -69,9 +69,6 @@ struct RunOptions
     /** Keep one trace sample out of this many steps. */
     unsigned trace_decimation = 1;
 
-    /** Abort the run at the first R-Unit violation. */
-    bool stop_on_failure = false;
-
     /**
      * Settle time before skitter sampling starts, letting the
      * operating-point hand-off die out.
@@ -124,6 +121,14 @@ struct ChipRunResult
     int noisiestCore() const;
 };
 
+/** The R-Unit's verdict on one run: its first timing violation. */
+struct FailureOutcome
+{
+    bool failed = false;       //!< R-Unit detected a timing violation
+    double failure_time = 0.0; //!< first violation instant
+    int failing_core = -1;
+};
+
 /**
  * The chip model. Immutable after construction; run() may be called
  * any number of times.
@@ -147,14 +152,26 @@ class ChipModel
      * over the shared factorization. Result i is bit-identical to
      * `run(workloads[i], duration, options)` — lanes never mix
      * arithmetically, so the campaign cache and figure pipelines can
-     * treat batched and scalar runs interchangeably. With
-     * stop_on_failure, a failed lane stops sampling at the same step a
-     * scalar run would have stopped at while the remaining lanes keep
-     * going.
+     * treat batched and scalar runs interchangeably.
      */
     std::vector<ChipRunResult>
     runBatch(std::span<const std::array<CoreActivity, kNumCores>> workloads,
              double duration, const RunOptions &options = RunOptions{}) const;
+
+    /**
+     * Run one workload set at several undervolt biases at once, one
+     * lane per bias, and report only the R-Unit's first violation per
+     * lane. Lane i's supply is computed from biases[i] exactly as the
+     * constructor computes supplyVoltage(), and every lane runs on
+     * this model's factorization (the system matrix holds no source
+     * value). Outcome i is therefore bit-identical to the failure
+     * fields of ChipModel(config() with bias = biases[i]).run(workloads,
+     * duration). No skitter, statistics, meter or trace work is done,
+     * and the scan ends early once every lane has failed.
+     */
+    std::vector<FailureOutcome>
+    scanFailures(const std::array<CoreActivity, kNumCores> &workloads,
+                 std::span<const double> biases, double duration) const;
 
     const ChipConfig &config() const { return config_; }
 
@@ -177,6 +194,16 @@ class ChipModel
     CoreActivity idleActivity() const;
 
   private:
+    /** The supply at an undervolt bias in [0, 0.3] (fatal otherwise). */
+    double supplyAt(double bias) const;
+
+    /**
+     * One lane's port currents from its per-core activities, advanced
+     * by one step first when `advance` is set.
+     */
+    void fillCurrents(std::array<CoreActivity, kNumCores> &activity,
+                      bool advance, double *currents) const;
+
     ChipConfig config_;
     ChipPdn pdn_;
     CriticalPathMonitor critpath_;

@@ -1,13 +1,32 @@
 #include "chip/vmin.hh"
 
+#include <algorithm>
+#include <vector>
+
 #include "util/logging.hh"
 
 namespace vn
 {
 
+namespace
+{
+
+/** Lanes per scan: one full-width chunk of the lane solve kernel. */
+constexpr size_t kScanLanes = 8;
+
+ChipConfig
+atNominal(ChipConfig config)
+{
+    config.bias = 0.0;
+    return config;
+}
+
+} // namespace
+
 VminExperiment::VminExperiment(ChipConfig base, double bias_step,
                                double max_bias)
-    : base_(std::move(base)), bias_step_(bias_step), max_bias_(max_bias)
+    : chip_(atNominal(std::move(base))), bias_step_(bias_step),
+      max_bias_(max_bias)
 {
     if (bias_step_ <= 0.0 || bias_step_ > 0.05)
         fatal("VminExperiment: bias_step must be in (0, 0.05], got ",
@@ -22,25 +41,30 @@ VminExperiment::run(const std::array<CoreActivity, kNumCores> &workloads,
                     double window) const
 {
     VminResult result;
-    RunOptions options;
-    options.stop_on_failure = true;
+    std::vector<double> chunk;
+    double bias = 0.0;
+    while (bias <= max_bias_ + 1e-12) {
+        // The next steps, accumulated one at a time like the service
+        // element's loop; only a last step that rounding carries past
+        // max_bias is pulled back to it.
+        chunk.clear();
+        for (; chunk.size() < kScanLanes && bias <= max_bias_ + 1e-12;
+             bias += bias_step_)
+            chunk.push_back(std::min(bias, max_bias_));
 
-    for (double bias = 0.0; bias <= max_bias_ + 1e-12;
-         bias += bias_step_) {
-        ChipConfig config = base_;
-        config.bias = bias;
-        ChipModel chip(config);
-        ++result.steps;
-        auto outcome = chip.run(workloads, window, options);
-        if (outcome.failed) {
-            result.bias_at_failure = bias;
-            result.failed = true;
-            result.failing_core = outcome.failing_core;
-            return result;
+        const auto outcomes = chip_.scanFailures(workloads, chunk, window);
+        for (size_t i = 0; i < chunk.size(); ++i) {
+            if (outcomes[i].failed) {
+                result.bias_at_failure = chunk[i];
+                result.steps += static_cast<int>(i + 1);
+                result.failed = true;
+                result.failing_core = outcomes[i].failing_core;
+                return result;
+            }
         }
+        result.steps += static_cast<int>(chunk.size());
     }
     result.bias_at_failure = max_bias_;
-    result.failed = false;
     return result;
 }
 

@@ -25,7 +25,11 @@ struct VminResult
      */
     double bias_at_failure = 0.0;
 
-    /** Number of voltage steps executed. */
+    /**
+     * Voltage steps up to and including the first failing one (all of
+     * them when none failed): the count a one-step-at-a-time ladder
+     * executes. The search may simulate a few steps beyond it.
+     */
     int steps = 0;
 
     /** True when a failure was actually observed. */
@@ -53,8 +57,11 @@ class VminExperiment
 
     /**
      * Lower the voltage until first failure while the given workloads
-     * run; each voltage step re-runs a measurement window (the real
-     * flow reboots the machine per step, we just rebuild the model).
+     * run; each voltage step re-runs a measurement window from the DC
+     * operating point (the real flow reboots the machine per step).
+     * Steps are simulated as lanes of one failure-only scan, eight at
+     * a time in ascending order, and the lowest failing step is the
+     * answer: the same result a one-step-at-a-time ladder gives.
      *
      * @param workloads per-core activity
      * @param window    seconds simulated per voltage step
@@ -63,7 +70,7 @@ class VminExperiment
                    double window) const;
 
   private:
-    ChipConfig base_;
+    ChipModel chip_; //!< base at bias 0; every step shares it
     double bias_step_;
     double max_bias_;
 };

@@ -53,6 +53,27 @@ BatchedTransientSolver::checkLane(size_t lane, const char *context) const
 }
 
 void
+BatchedTransientSolver::fillSourceVolts(
+    std::span<const double> source_volts, std::vector<double> &rhs) const
+{
+    const auto &sources = fact_->netlist().voltageSources();
+    const size_t num_nodes = fact_->numNodes();
+    const size_t num_vsrc = sources.size();
+    if (!source_volts.empty() && source_volts.size() != num_vsrc * lanes_)
+        fatal("BatchedTransientSolver: expected ", num_vsrc, " x ", lanes_,
+              " lane-major source values, got ", source_volts.size());
+    for (size_t s = 0; s < num_vsrc; ++s) {
+        double *row = &rhs[(num_nodes + s) * lanes_];
+        if (source_volts.empty()) {
+            std::fill_n(row, lanes_, sources[s].volts);
+            continue;
+        }
+        for (size_t k = 0; k < lanes_; ++k)
+            row[k] = source_volts[k * num_vsrc + s];
+    }
+}
+
+void
 BatchedTransientSolver::fillPortCurrents(
     std::span<const double> port_currents, std::vector<double> &rhs) const
 {
@@ -85,7 +106,8 @@ BatchedTransientSolver::fillPortCurrents(
 
 void
 BatchedTransientSolver::initDcOperatingPoint(
-    std::span<const double> port_currents)
+    std::span<const double> port_currents,
+    std::span<const double> source_volts)
 {
     const Netlist &netlist = fact_->netlist();
     const size_t num_nodes = fact_->numNodes();
@@ -93,13 +115,7 @@ BatchedTransientSolver::initDcOperatingPoint(
     const size_t num_ind = fact_->numInductors();
 
     std::vector<double> rhs(fact_->dim() * lanes_, 0.0);
-    for (size_t s = 0; s < num_vsrc; ++s) {
-        double *row = &rhs[(num_nodes + s) * lanes_];
-        const double volts = netlist.voltageSources()[s].volts;
-        for (size_t k = 0; k < lanes_; ++k)
-            row[k] = volts;
-    }
-
+    fillSourceVolts(source_volts, rhs);
     fillPortCurrents(port_currents, rhs);
 
     fact_->dcLu().solveLanesInto(rhs, lanes_, solution_);
@@ -136,7 +152,8 @@ BatchedTransientSolver::initDcOperatingPoint(
 }
 
 void
-BatchedTransientSolver::step(std::span<const double> port_currents)
+BatchedTransientSolver::step(std::span<const double> port_currents,
+                             std::span<const double> source_volts)
 {
     const Netlist &netlist = fact_->netlist();
     const size_t num_nodes = fact_->numNodes();
@@ -169,12 +186,7 @@ BatchedTransientSolver::step(std::span<const double> port_currents)
         }
     }
 
-    for (size_t s = 0; s < num_vsrc; ++s) {
-        double *row = &rhs_[(num_nodes + s) * lanes_];
-        const double volts = netlist.voltageSources()[s].volts;
-        for (size_t k = 0; k < lanes_; ++k)
-            row[k] = volts;
-    }
+    fillSourceVolts(source_volts, rhs_);
 
     // Inductor companions: v_a - v_b - Req*i_{n+1} = -(Req*i_n + v_n).
     for (size_t m = 0; m < num_ind; ++m) {

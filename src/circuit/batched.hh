@@ -40,7 +40,11 @@ namespace vn
  *
  * Port currents are passed lane-major: entry `lane * portCount() + p`
  * is lane `lane`'s current into port p, so each lane's producer fills
- * a contiguous slice.
+ * a contiguous slice. Voltage-source values are per-lane stimulus too,
+ * passed the same way (entry `lane * S + s` for the netlist's S
+ * sources); the system matrix holds no source value, so lanes at
+ * different supplies still share one factorization. Omitting them
+ * gives every lane the netlist's values.
  */
 class BatchedTransientSolver
 {
@@ -79,16 +83,20 @@ class BatchedTransientSolver
     /**
      * Initialize every lane from its DC operating point (capacitors
      * open, inductors shorted). `port_currents` is lane-major with
-     * lanes() * portCount() entries. Resets time to zero.
+     * lanes() * portCount() entries; `source_volts`, when given, is
+     * lane-major with lanes() * S entries. Resets time to zero.
      */
-    void initDcOperatingPoint(std::span<const double> port_currents);
+    void initDcOperatingPoint(std::span<const double> port_currents,
+                              std::span<const double> source_volts = {});
 
     /**
      * Advance all lanes one time step. `port_currents` is lane-major
-     * with lanes() * portCount() entries, treated as constant across
-     * the step.
+     * with lanes() * portCount() entries and `source_volts`, when
+     * given, with lanes() * S entries; both are treated as constant
+     * across the step.
      */
-    void step(std::span<const double> port_currents);
+    void step(std::span<const double> port_currents,
+              std::span<const double> source_volts = {});
 
     /** Voltage of `node` in `lane` at the current time. */
     double nodeVoltage(size_t lane, NodeId node) const;
@@ -100,6 +108,8 @@ class BatchedTransientSolver
     double sourceCurrent(size_t lane, size_t i) const;
 
   private:
+    void fillSourceVolts(std::span<const double> source_volts,
+                         std::vector<double> &rhs) const;
     void fillPortCurrents(std::span<const double> port_currents,
                           std::vector<double> &rhs) const;
     void checkLane(size_t lane, const char *context) const;

@@ -7,6 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
+#include <string>
+#include <utility>
 
 #include "chip/chip.hh"
 #include "chip/vmin.hh"
@@ -168,17 +171,6 @@ TEST(ChipModelTest, DeepBiasFailsUnderStress)
     EXPECT_GT(r.failure_time, 0.0);
 }
 
-TEST(ChipModelTest, StopOnFailureShortens)
-{
-    vn::ChipConfig config;
-    config.bias = 0.10;
-    vn::ChipModel chip(config);
-    vn::RunOptions options;
-    options.stop_on_failure = true;
-    auto r = chip.run(allCores(squareWave(2.6e6, true)), 400e-6, options);
-    EXPECT_TRUE(r.failed);
-}
-
 TEST(ChipModelTest, VariationMakesCoresDiffer)
 {
     // The discretized %p2p may land on the same latch step for all
@@ -244,6 +236,97 @@ TEST(VminTest, StepCountReported)
                 0.02 * static_cast<double>(r.steps - 1), 1e-12);
 }
 
+TEST(VminTest, LastStepPastMaxBiasRunsAtMaxBias)
+{
+    // 61 steps of 0.005 accumulate to 0.30000000000000016, past both
+    // max_bias and the chip's bias limit; that step runs at max_bias.
+    // A short critical path (v_crit 0.639 V) keeps idle cores passing
+    // every step.
+    vn::ChipConfig config;
+    config.critpath.nominal_path_fraction = 0.3;
+    vn::VminExperiment vmin(config, 0.005, 0.3);
+    auto idle = vn::ChipModel(config).idleActivity();
+    auto r = vmin.run(allCores(idle), 2e-6);
+    EXPECT_FALSE(r.failed);
+    EXPECT_EQ(r.bias_at_failure, 0.3);
+    EXPECT_EQ(r.steps, 61);
+    EXPECT_EQ(r.failing_core, -1);
+}
+
+/**
+ * The one-step-at-a-time Vmin ladder: one scalar ChipModel per step,
+ * stopping at the first failing step. The step that rounding carries
+ * past max_bias runs at max_bias, as in VminExperiment.
+ */
+vn::VminResult
+sequentialVmin(const vn::ChipConfig &base, double bias_step,
+               double max_bias,
+               const std::array<vn::CoreActivity, vn::kNumCores> &workloads,
+               double window)
+{
+    vn::VminResult result;
+    for (double bias = 0.0; bias <= max_bias + 1e-12; bias += bias_step) {
+        vn::ChipConfig config = base;
+        config.bias = std::min(bias, max_bias);
+        ++result.steps;
+        auto outcome = vn::ChipModel(config).run(workloads, window);
+        if (outcome.failed) {
+            result.bias_at_failure = config.bias;
+            result.failed = true;
+            result.failing_core = outcome.failing_core;
+            return result;
+        }
+    }
+    result.bias_at_failure = max_bias;
+    return result;
+}
+
+TEST(VminTest, LaneScanMatchesSequentialLadder)
+{
+    vn::ChipConfig config;
+    auto idle = vn::ChipModel(config).idleActivity();
+    auto sync = allCores(squareWave(2.6e6, true));
+    std::array<vn::CoreActivity, vn::kNumCores> staggered = {
+        squareWave(2.6e6, true, 0), squareWave(2.6e6, true, 1),
+        squareWave(2.6e6, true, 2), squareWave(2.6e6, true, 3),
+        squareWave(2.6e6, true, 4), squareWave(2.6e6, true, 5)};
+    const std::array<std::pair<const char *,
+                               std::array<vn::CoreActivity, vn::kNumCores>>,
+                     3>
+        workloads = {{{"sync", sync},
+                      {"staggered", staggered},
+                      {"idle", allCores(idle)}}};
+
+    bool beyond_first_chunk = false;
+    bool none_failed = false;
+    for (double step : {0.005, 0.01, 0.02}) {
+        // max_bias 0.03 leaves idle cores passing every step.
+        for (double max_bias : {0.15, 0.03}) {
+            vn::VminExperiment vmin(config, step, max_bias);
+            for (const auto &[name, w] : workloads) {
+                SCOPED_TRACE(std::string(name) + " step " +
+                             std::to_string(step) + " max " +
+                             std::to_string(max_bias));
+                auto lanes = vmin.run(w, 4e-6);
+                auto ladder = sequentialVmin(config, step, max_bias, w, 4e-6);
+                EXPECT_EQ(std::memcmp(&lanes.bias_at_failure,
+                                      &ladder.bias_at_failure,
+                                      sizeof(double)),
+                          0)
+                    << lanes.bias_at_failure << " vs "
+                    << ladder.bias_at_failure;
+                EXPECT_EQ(lanes.steps, ladder.steps);
+                EXPECT_EQ(lanes.failed, ladder.failed);
+                EXPECT_EQ(lanes.failing_core, ladder.failing_core);
+                beyond_first_chunk |= ladder.failed && ladder.steps > 8;
+                none_failed |= !ladder.failed;
+            }
+        }
+    }
+    EXPECT_TRUE(beyond_first_chunk);
+    EXPECT_TRUE(none_failed);
+}
+
 TEST(ChipModelTest, SharedUnitSkittersReadNoise)
 {
     // Paper Fig. 3: the nest, MCU and GX carry skitters too. Under an
@@ -281,6 +364,17 @@ TEST(ChipModelTest, InvalidConfigIsFatal)
     vn::ChipConfig bad2;
     bad2.dt = 0.0;
     EXPECT_THROW(vn::ChipModel{bad2}, vn::FatalError);
+    // A bias a hair past the limit is printed in full, not as "0.3".
+    vn::ChipConfig bad3;
+    bad3.bias = 0.30000000000000016;
+    try {
+        vn::ChipModel chip(bad3);
+        ADD_FAILURE() << "bias past 0.3 accepted";
+    } catch (const vn::FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find("got 0.30000000000000016"),
+                  std::string::npos)
+            << e.what();
+    }
     vn::setThrowOnError(prev);
 }
 

@@ -7,8 +7,9 @@
  * operation sequence, so batched results are byte-identical to scalar
  * ones and the two paths can share cache entries. These tests enforce
  * the claim byte-for-byte (memcmp on doubles, never EXPECT_NEAR) over
- * long transients, on every netlist the chip model builds, and at the
- * ChipModel::runBatch level including stop_on_failure.
+ * long transients, on every netlist the chip model builds, with
+ * per-lane source values, and at the ChipModel::runBatch and
+ * ChipModel::scanFailures level.
  *
  * FactorizationCacheTest.ConcurrentGetInternsOnePointer doubles as the
  * ThreadSanitizer target for the cache's locking (scripts/check.sh
@@ -53,13 +54,13 @@ stimulus(size_t lane, size_t port, uint64_t step)
 
 /** RLC ladder with two ports, a vsource, and reactive state. */
 vn::Netlist
-makeLadder()
+makeLadder(double volts = 1.1)
 {
     vn::Netlist net;
     vn::NodeId n1 = net.addNode("n1");
     vn::NodeId n2 = net.addNode("n2");
     vn::NodeId n3 = net.addNode("n3");
-    net.addVoltageSource(n1, vn::Netlist::ground, 1.1);
+    net.addVoltageSource(n1, vn::Netlist::ground, volts);
     net.addResistor(n1, n2, 0.01);
     net.addInductor(n2, n3, 5e-9);
     net.addCapacitor(n2, vn::Netlist::ground, 1e-6);
@@ -73,24 +74,38 @@ makeLadder()
 /**
  * Drive `lanes` scalar solvers and one batched solver with identical
  * per-lane stimuli for `steps` steps and require byte-identical state
- * at every observation point.
+ * at every observation point. With `lane_nets` (one per lane, the same
+ * circuit as `net` up to voltage-source values), scalar lane k runs on
+ * lane_nets[k] and the batched solver on `net` takes lane k's source
+ * values from it.
  */
 void
 expectLanesMatchScalar(const vn::Netlist &net, double dt, size_t lanes,
-                       uint64_t steps)
+                       uint64_t steps,
+                       const std::vector<vn::Netlist> &lane_nets = {})
 {
     const size_t ports = net.ports().size();
+    const bool own_sources = !lane_nets.empty();
+    if (own_sources) {
+        ASSERT_EQ(lane_nets.size(), lanes);
+    }
 
     std::vector<vn::TransientSolver> scalar;
     scalar.reserve(lanes);
     for (size_t k = 0; k < lanes; ++k)
-        scalar.emplace_back(net, dt);
+        scalar.emplace_back(own_sources ? lane_nets[k] : net, dt);
     vn::BatchedTransientSolver batched(net, dt, lanes);
 
-    // All solvers share one interned factorization.
-    for (size_t k = 0; k < lanes; ++k)
+    // Without per-lane sources all solvers share one interned
+    // factorization.
+    for (size_t k = 0; k < lanes && !own_sources; ++k)
         ASSERT_EQ(scalar[k].factorization().get(),
                   batched.factorization().get());
+
+    std::vector<double> source_volts;
+    for (size_t k = 0; k < lanes && own_sources; ++k)
+        for (const auto &source : lane_nets[k].voltageSources())
+            source_volts.push_back(source.volts);
 
     std::vector<double> lane_load(ports * lanes);
     std::vector<std::vector<double>> loads(lanes,
@@ -107,7 +122,7 @@ expectLanesMatchScalar(const vn::Netlist &net, double dt, size_t lanes,
     fill(0);
     for (size_t k = 0; k < lanes; ++k)
         scalar[k].initDcOperatingPoint(loads[k]);
-    batched.initDcOperatingPoint(lane_load);
+    batched.initDcOperatingPoint(lane_load, source_volts);
 
     auto check = [&](uint64_t step) {
         for (size_t k = 0; k < lanes; ++k) {
@@ -137,7 +152,7 @@ expectLanesMatchScalar(const vn::Netlist &net, double dt, size_t lanes,
         fill(s);
         for (size_t k = 0; k < lanes; ++k)
             scalar[k].step(loads[k]);
-        batched.step(lane_load);
+        batched.step(lane_load, source_volts);
         if (s % 97 == 0 || s == steps)
             check(s);
     }
@@ -170,6 +185,36 @@ TEST(BatchedBitIdentityTest, EveryChipModelNetlistMatches)
         vn::ChipModel chip(configs[i]);
         expectLanesMatchScalar(chip.pdn().netlist, chip.config().dt, 4,
                                1200);
+    }
+}
+
+TEST(BatchedBitIdentityTest, LadderLanesWithOwnSourceValuesMatchScalar)
+{
+    std::vector<vn::Netlist> lane_nets;
+    for (double volts : {1.1, 1.05, 0.97, 1.2, 0.8})
+        lane_nets.push_back(makeLadder(volts));
+    expectLanesMatchScalar(makeLadder(), 1e-9, lane_nets.size(), 3000,
+                           lane_nets);
+}
+
+TEST(BatchedBitIdentityTest, ChipLanesWithOwnSupplyMatchScalar)
+{
+    // Lane k's supply is the VRM value of the chip built at bias k, on
+    // the nominal chip's netlist: one factorization, many supplies.
+    std::vector<vn::ChipConfig> configs(2);
+    configs[1].variation = vn::VariationProfile::randomCorner(99, 0.05);
+    configs[1].dt = 2e-9;
+    for (size_t i = 0; i < configs.size(); ++i) {
+        SCOPED_TRACE("config " + std::to_string(i));
+        vn::ChipModel nominal(configs[i]);
+        std::vector<vn::Netlist> lane_nets;
+        for (double bias : {0.0, 0.035, 0.1, 0.005, 0.3}) {
+            vn::ChipConfig config = configs[i];
+            config.bias = bias;
+            lane_nets.push_back(vn::ChipModel(config).pdn().netlist);
+        }
+        expectLanesMatchScalar(nominal.pdn().netlist, configs[i].dt,
+                               lane_nets.size(), 1200, lane_nets);
     }
 }
 
@@ -239,35 +284,42 @@ TEST(BatchedBitIdentityTest, ChipRunBatchMatchesScalarRuns)
     }
 }
 
-TEST(BatchedBitIdentityTest, RunBatchStopOnFailureFreezesPerLane)
+TEST(BatchedBitIdentityTest, FailureScanMatchesScalarRuns)
 {
-    // Deep undervolt makes heavy lanes fail early while light lanes
-    // survive; every lane must still match its scalar run bit-for-bit.
-    vn::ChipConfig config;
-    config.bias = 0.12;
-    vn::ChipModel chip(config);
+    // Each lane of a failure scan must report the first violation a
+    // scalar run at that lane's bias reports, bit for bit, whether the
+    // lane fails early, late or never.
+    const std::vector<double> biases = {0.0,  0.13, 0.02, 0.05, 0.08,
+                                        0.11, 0.04, 0.2,  0.09};
+    for (double dt : {1e-9, 2e-9}) {
+        for (bool uniform : {false, true}) {
+            SCOPED_TRACE("dt " + std::to_string(dt) +
+                         (uniform ? " uniform" : " default"));
+            vn::ChipConfig config;
+            config.dt = dt;
+            if (uniform)
+                config.variation = vn::VariationProfile::uniform();
+            vn::ChipModel chip(config);
+            const auto workloads = waveWorkloads(chip, 1);
 
-    std::vector<std::array<vn::CoreActivity, vn::kNumCores>> workloads;
-    for (int variant = 0; variant < 3; ++variant)
-        workloads.push_back(waveWorkloads(chip, variant));
-    // One all-idle lane that must not fail.
-    workloads.push_back({chip.idleActivity(), chip.idleActivity(),
-                         chip.idleActivity(), chip.idleActivity(),
-                         chip.idleActivity(), chip.idleActivity()});
-
-    vn::RunOptions options;
-    options.stop_on_failure = true;
-
-    auto batched = chip.runBatch(workloads, 3e-6, options);
-    ASSERT_EQ(batched.size(), workloads.size());
-    bool any_failed = false;
-    for (size_t i = 0; i < workloads.size(); ++i) {
-        SCOPED_TRACE("lane " + std::to_string(i));
-        auto scalar = chip.run(workloads[i], 3e-6, options);
-        expectSameChipResult(scalar, batched[i]);
-        any_failed = any_failed || scalar.failed;
+            auto outcomes = chip.scanFailures(workloads, biases, 3e-6);
+            ASSERT_EQ(outcomes.size(), biases.size());
+            size_t failed = 0;
+            for (size_t i = 0; i < biases.size(); ++i) {
+                SCOPED_TRACE("bias " + std::to_string(biases[i]));
+                vn::ChipConfig biased = config;
+                biased.bias = biases[i];
+                auto scalar = vn::ChipModel(biased).run(workloads, 3e-6);
+                ASSERT_EQ(outcomes[i].failed, scalar.failed);
+                ASSERT_TRUE(sameBits(outcomes[i].failure_time,
+                                     scalar.failure_time));
+                ASSERT_EQ(outcomes[i].failing_core, scalar.failing_core);
+                failed += scalar.failed ? 1 : 0;
+            }
+            EXPECT_GT(failed, 0u);
+            EXPECT_LT(failed, biases.size());
+        }
     }
-    EXPECT_FALSE(batched.back().failed);
 }
 
 TEST(BatchedBitIdentityTest, EmptyBatchReturnsNothing)
@@ -407,6 +459,9 @@ TEST(BatchedTransientSolverTest, RejectsBadArguments)
     vn::BatchedTransientSolver sim(net, 1e-9, 2);
     std::vector<double> wrong(net.ports().size(), 0.0); // 1 lane only
     EXPECT_THROW(sim.step(wrong), vn::FatalError);
+    std::vector<double> loads(2 * net.ports().size(), 0.0);
+    std::vector<double> one_supply = {1.0}; // 2 lanes x 1 source needed
+    EXPECT_THROW(sim.step(loads, one_supply), vn::FatalError);
     EXPECT_THROW(sim.nodeVoltage(2, 1), vn::FatalError);
     vn::setThrowOnError(prev);
 }
