@@ -4,9 +4,10 @@
 # run them, replay the lane-batched solver bit-identity suite, replay
 # the faultnet determinism suite under two seeds, run the router
 # fleet fault replay, run the kill-resume campaign replay (SIGKILL
-# mid-flight, --resume, byte-identical artifacts) under two seeds, and
-# finish with the vnbench smoke run (pinned Fig. 9/12/13 digests and
-# the serving checks). This is the gate a change must pass before
+# mid-flight, --resume, byte-identical artifacts) under two seeds, run
+# the vnbench smoke run (pinned Fig. 9/12/13 digests and the serving
+# checks), and finish with the golden stdout digests of the fig7-fig15
+# and ext_* benches. This is the gate a change must pass before
 # merging.
 # (CI additionally runs the serving tests under ASan+UBSan; locally:
 #  cmake --preset asan && cmake --build --preset asan &&
@@ -123,5 +124,12 @@ echo "== tier 8: vnbench smoke: pinned figure digests and serve checks =="
 # cannot silently move a result; the serve workloads check every
 # response against the library's own value.
 python3 bench/vnbench/run.py smoke
+
+echo "== tier 9: golden fig/ext bench output digests =="
+# fig7-fig15 and six ext_* studies at --jobs 3 --no-cache with a pinned
+# VNOISE_OUT_DIR: each stdout and fig8's two CSV traces must hash to
+# scripts/fig_digests.sha256, so a solver, chip or campaign refactor
+# cannot move any figure's output by one bit.
+scripts/fig_digests.sh
 
 echo "== all checks passed =="

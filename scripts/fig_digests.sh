@@ -1,0 +1,62 @@
+#!/usr/bin/env bash
+# Golden output digests of the figure and extension benches: runs
+# fig7-fig15 and six ext_* studies at a pinned configuration (--jobs 3
+# --no-cache, VNOISE_OUT_DIR=out/golden relative to the repo root, so
+# fig8's "traces written to" line is stable) and checks the sha256 of
+# each stdout, plus fig8's two CSV traces, against the committed list
+# scripts/fig_digests.sha256. A refactor that moves any figure's
+# output by one bit fails here and names the bench.
+#
+# Usage: scripts/fig_digests.sh [--update]
+#   --update  rewrite scripts/fig_digests.sha256 from this build (only
+#             for a change that is meant to move a figure)
+#
+# Expects the default preset's binaries in build/bench. Reuses
+# out/vnoise_kit.cache when present, so the stressmark search is paid
+# at most once.
+set -euo pipefail
+
+cd "$(dirname "$0")/.."
+
+update=0
+case "${1:-}" in
+"") ;;
+--update) update=1 ;;
+*) echo "usage: $0 [--update]" >&2; exit 2 ;;
+esac
+
+benches=(
+    fig7_freq_sweep fig8_oscilloscope fig9_sync_sweep fig10_misalignment
+    fig11_delta_i fig12_consecutive fig13_propagation fig14_mappings
+    fig15_mapping_opportunity
+    ext_ablation_pdn ext_spectrum ext_guardband ext_variation ext_scaling
+    ext_scheduler
+)
+list="$PWD/scripts/fig_digests.sha256"
+
+export VNOISE_OUT_DIR=out/golden
+mkdir -p "$VNOISE_OUT_DIR"
+kit="$VNOISE_OUT_DIR/vnoise_kit.cache"
+if [[ -f out/vnoise_kit.cache && ! -f "$kit" ]]; then
+    cp out/vnoise_kit.cache "$kit"
+fi
+
+for bench in "${benches[@]}"; do
+    ./build/bench/"$bench" --jobs 3 --no-cache \
+        >"$VNOISE_OUT_DIR/$bench.stdout" 2>"$VNOISE_OUT_DIR/$bench.stderr"
+done
+
+cd "$VNOISE_OUT_DIR"
+outputs=()
+for bench in "${benches[@]}"; do
+    outputs+=("$bench.stdout")
+done
+outputs+=(fig8_20us.csv fig8_period.csv)
+
+if ((update)); then
+    sha256sum "${outputs[@]}" >"$list"
+    echo "fig_digests: wrote ${#outputs[@]} digests to $list"
+else
+    sha256sum --quiet -c "$list"
+    echo "fig_digests: ${#outputs[@]} outputs match $list"
+fi

@@ -5,6 +5,7 @@
 #include <iomanip>
 
 #include "util/logging.hh"
+#include "util/stats.hh"
 
 namespace vn
 {
@@ -19,6 +20,54 @@ sharedUnitName(int unit)
     }
     return "?";
 }
+
+namespace
+{
+
+/**
+ * One unit's readout over the window from the statistics of its
+ * voltage samples. Skitter::latchedPosition is monotone non-decreasing
+ * in voltage, so the lowest and highest latch any sample touches are
+ * the latches of the lowest and highest voltage: a fresh sticky
+ * skitter fed the two extremes reads exactly what one fed every
+ * sample would.
+ */
+CoreRunResult
+unitReadout(const RunningStats &vstats, const SkitterParams &params)
+{
+    Skitter skitter(params);
+    if (vstats.count() > 0) {
+        skitter.sample(vstats.min());
+        skitter.sample(vstats.max());
+    }
+    CoreRunResult readout;
+    readout.p2p = skitter.percentP2p();
+    readout.min_latch = skitter.minPosition();
+    readout.max_latch = skitter.maxPosition();
+    readout.v_min = vstats.min();
+    readout.v_max = vstats.max();
+    readout.v_mean = vstats.mean();
+    return readout;
+}
+
+/** Every core's and shared unit's readout over the window. */
+void
+fillReadouts(const ChipConfig &config,
+             const std::array<RunningStats, kNumCores> &core_vstats,
+             const std::array<RunningStats, kNumSharedUnits> &shared_vstats,
+             ChipRunResult &result)
+{
+    // Per-core skitters have variation-scaled sensitivity.
+    for (int c = 0; c < kNumCores; ++c) {
+        SkitterParams sp = config.skitter;
+        sp.gain *= config.variation.core[c].skitter_gain_scale;
+        result.core[c] = unitReadout(core_vstats[c], sp);
+    }
+    for (int u = 0; u < kNumSharedUnits; ++u)
+        result.shared[u] = unitReadout(shared_vstats[u], config.skitter);
+}
+
+} // namespace
 
 double
 ChipRunResult::maxP2p() const
@@ -43,10 +92,12 @@ ChipModel::ChipModel(ChipConfig config)
     : config_(std::move(config)), critpath_(config_.critpath)
 {
     supply_ = supplyAt(config_.bias);
-    if (config_.dt <= 0.0)
-        fatal("ChipModel: dt must be > 0");
-    if (config_.power_unit_amps <= 0.0)
-        fatal("ChipModel: power_unit_amps must be > 0");
+    if (!(config_.dt > 0.0) || !std::isfinite(config_.dt))
+        fatal("ChipModel: dt must be finite and > 0, got ", config_.dt);
+    if (!(config_.power_unit_amps > 0.0) ||
+        !std::isfinite(config_.power_unit_amps))
+        fatal("ChipModel: power_unit_amps must be finite and > 0, got ",
+              config_.power_unit_amps);
 
     // Apply per-core variation to the PDN and the bias to the supply.
     PdnConfig pdn_config = config_.pdn;
@@ -67,7 +118,7 @@ ChipModel::ChipModel(ChipConfig config)
 double
 ChipModel::supplyAt(double bias) const
 {
-    if (bias < 0.0 || bias > 0.3)
+    if (!(bias >= 0.0 && bias <= 0.3))
         fatal("ChipModel: bias must be in [0, 0.3], got ",
               std::setprecision(17), bias);
     return config_.pdn.vnom * (1.0 - bias);
@@ -98,25 +149,17 @@ ChipRunResult
 ChipModel::run(const std::array<CoreActivity, kNumCores> &workloads,
                double duration, const RunOptions &options) const
 {
-    if (duration <= 0.0)
-        fatal("ChipModel::run(): duration must be > 0");
+    if (!(duration > 0.0) || !std::isfinite(duration))
+        fatal("ChipModel::run(): duration must be finite and > 0, got ",
+              duration);
 
     std::array<CoreActivity, kNumCores> activity = workloads;
 
-    // Per-core skitters with variation-scaled sensitivity.
-    std::vector<Skitter> skitters;
-    skitters.reserve(kNumCores);
-    for (int c = 0; c < kNumCores; ++c) {
-        SkitterParams sp = config_.skitter;
-        sp.gain *= config_.variation.core[c].skitter_gain_scale;
-        skitters.emplace_back(sp);
-    }
-
-    // Skitters in the shared units (nest/L3, MCU, GX).
+    // Voltage statistics of the cores and of the shared units (nest/L3,
+    // MCU, GX) from warmup on; the skitter readouts derive from them.
     const std::array<NodeId, kNumSharedUnits> shared_nodes = {
         pdn_.l3_node, pdn_.mcu_node, pdn_.gx_node};
-    std::vector<Skitter> shared_skitters(
-        kNumSharedUnits, Skitter(config_.skitter));
+    std::array<RunningStats, kNumCores> vstats;
     std::array<RunningStats, kNumSharedUnits> shared_vstats;
 
     TransientSolver sim(fact_);
@@ -135,7 +178,6 @@ ChipModel::run(const std::array<CoreActivity, kNumCores> &workloads,
     }
 
     PowerMeter meter;
-    std::array<RunningStats, kNumCores> vstats;
     unsigned trace_phase = 0;
 
     const auto steps =
@@ -147,10 +189,8 @@ ChipModel::run(const std::array<CoreActivity, kNumCores> &workloads,
 
         for (int c = 0; c < kNumCores; ++c) {
             double v = sim.nodeVoltage(pdn_.core_node[c]);
-            if (t >= options.warmup) {
-                skitters[c].sample(v);
+            if (t >= options.warmup)
                 vstats[c].add(v);
-            }
             if (!result.failed && critpath_.violates(v)) {
                 result.failed = true;
                 result.failure_time = t;
@@ -165,32 +205,14 @@ ChipModel::run(const std::array<CoreActivity, kNumCores> &workloads,
         }
 
         if (t >= options.warmup) {
-            for (int u = 0; u < kNumSharedUnits; ++u) {
-                double v = sim.nodeVoltage(shared_nodes[u]);
-                shared_skitters[u].sample(v);
-                shared_vstats[u].add(v);
-            }
+            for (int u = 0; u < kNumSharedUnits; ++u)
+                shared_vstats[u].add(sim.nodeVoltage(shared_nodes[u]));
         }
 
         meter.sample(supply_, std::fabs(sim.sourceCurrent(0)));
     }
 
-    for (int c = 0; c < kNumCores; ++c) {
-        result.core[c].p2p = skitters[c].percentP2p();
-        result.core[c].min_latch = skitters[c].minPosition();
-        result.core[c].max_latch = skitters[c].maxPosition();
-        result.core[c].v_min = vstats[c].min();
-        result.core[c].v_max = vstats[c].max();
-        result.core[c].v_mean = vstats[c].mean();
-    }
-    for (int u = 0; u < kNumSharedUnits; ++u) {
-        result.shared[u].p2p = shared_skitters[u].percentP2p();
-        result.shared[u].min_latch = shared_skitters[u].minPosition();
-        result.shared[u].max_latch = shared_skitters[u].maxPosition();
-        result.shared[u].v_min = shared_vstats[u].min();
-        result.shared[u].v_max = shared_vstats[u].max();
-        result.shared[u].v_mean = shared_vstats[u].mean();
-    }
+    fillReadouts(config_, vstats, shared_vstats, result);
     result.avg_power_watts = meter.averageWatts();
     return result;
 }
@@ -200,8 +222,9 @@ ChipModel::runBatch(
     std::span<const std::array<CoreActivity, kNumCores>> workloads,
     double duration, const RunOptions &options) const
 {
-    if (duration <= 0.0)
-        fatal("ChipModel::runBatch(): duration must be > 0");
+    if (!(duration > 0.0) || !std::isfinite(duration))
+        fatal("ChipModel::runBatch(): duration must be finite and > 0, got ",
+              duration);
     const size_t lanes = workloads.size();
     if (lanes == 0)
         return {};
@@ -211,27 +234,15 @@ ChipModel::runBatch(
 
     // Per-lane measurement state, mirroring run() exactly. Lanes never
     // mix arithmetically: each samples its own voltages into its own
-    // skitters/stats/meter, so lane results are bit-identical to a
-    // scalar run of the same workloads.
+    // stats/meter, so lane results are bit-identical to a scalar run
+    // of the same workloads.
     struct LaneState
     {
-        std::vector<Skitter> skitters;
-        std::vector<Skitter> shared_skitters;
         std::array<RunningStats, kNumCores> vstats;
         std::array<RunningStats, kNumSharedUnits> shared_vstats;
         PowerMeter meter;
     };
     std::vector<LaneState> lane_state(lanes);
-    for (auto &ls : lane_state) {
-        ls.skitters.reserve(kNumCores);
-        for (int c = 0; c < kNumCores; ++c) {
-            SkitterParams sp = config_.skitter;
-            sp.gain *= config_.variation.core[c].skitter_gain_scale;
-            ls.skitters.emplace_back(sp);
-        }
-        ls.shared_skitters.assign(kNumSharedUnits,
-                                  Skitter(config_.skitter));
-    }
 
     const std::array<NodeId, kNumSharedUnits> shared_nodes = {
         pdn_.l3_node, pdn_.mcu_node, pdn_.gx_node};
@@ -274,10 +285,8 @@ ChipModel::runBatch(
 
             for (int c = 0; c < kNumCores; ++c) {
                 double v = sim.nodeVoltage(k, pdn_.core_node[c]);
-                if (t >= options.warmup) {
-                    ls.skitters[c].sample(v);
+                if (t >= options.warmup)
                     ls.vstats[c].add(v);
-                }
                 if (!result.failed && critpath_.violates(v)) {
                     result.failed = true;
                     result.failure_time = t;
@@ -288,11 +297,9 @@ ChipModel::runBatch(
             }
 
             if (t >= options.warmup) {
-                for (int u = 0; u < kNumSharedUnits; ++u) {
-                    double v = sim.nodeVoltage(k, shared_nodes[u]);
-                    ls.shared_skitters[u].sample(v);
-                    ls.shared_vstats[u].add(v);
-                }
+                for (int u = 0; u < kNumSharedUnits; ++u)
+                    ls.shared_vstats[u].add(
+                        sim.nodeVoltage(k, shared_nodes[u]));
             }
 
             ls.meter.sample(supply_, std::fabs(sim.sourceCurrent(k, 0)));
@@ -305,25 +312,9 @@ ChipModel::runBatch(
     }
 
     for (size_t k = 0; k < lanes; ++k) {
-        LaneState &ls = lane_state[k];
-        ChipRunResult &result = results[k];
-        for (int c = 0; c < kNumCores; ++c) {
-            result.core[c].p2p = ls.skitters[c].percentP2p();
-            result.core[c].min_latch = ls.skitters[c].minPosition();
-            result.core[c].max_latch = ls.skitters[c].maxPosition();
-            result.core[c].v_min = ls.vstats[c].min();
-            result.core[c].v_max = ls.vstats[c].max();
-            result.core[c].v_mean = ls.vstats[c].mean();
-        }
-        for (int u = 0; u < kNumSharedUnits; ++u) {
-            result.shared[u].p2p = ls.shared_skitters[u].percentP2p();
-            result.shared[u].min_latch = ls.shared_skitters[u].minPosition();
-            result.shared[u].max_latch = ls.shared_skitters[u].maxPosition();
-            result.shared[u].v_min = ls.shared_vstats[u].min();
-            result.shared[u].v_max = ls.shared_vstats[u].max();
-            result.shared[u].v_mean = ls.shared_vstats[u].mean();
-        }
-        result.avg_power_watts = ls.meter.averageWatts();
+        const LaneState &ls = lane_state[k];
+        fillReadouts(config_, ls.vstats, ls.shared_vstats, results[k]);
+        results[k].avg_power_watts = ls.meter.averageWatts();
     }
     return results;
 }
@@ -333,8 +324,9 @@ ChipModel::scanFailures(const std::array<CoreActivity, kNumCores> &workloads,
                         std::span<const double> biases,
                         double duration) const
 {
-    if (duration <= 0.0)
-        fatal("ChipModel::scanFailures(): duration must be > 0");
+    if (!(duration > 0.0) || !std::isfinite(duration))
+        fatal("ChipModel::scanFailures(): duration must be finite and > 0, "
+              "got ", duration);
     const size_t lanes = biases.size();
     if (lanes == 0)
         return {};

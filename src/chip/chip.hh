@@ -70,7 +70,8 @@ struct RunOptions
     unsigned trace_decimation = 1;
 
     /**
-     * Settle time before skitter sampling starts, letting the
+     * Settle time before the measurement window (voltage statistics
+     * and the skitter readouts built from them) starts, letting the
      * operating-point hand-off die out.
      */
     double warmup = 0.5e-6;

@@ -1,5 +1,7 @@
 #include "chip/configio.hh"
 
+#include <cmath>
+
 #include "util/kvfile.hh"
 #include "util/logging.hh"
 
@@ -138,36 +140,42 @@ ChipConfig
 loadChipConfig(const std::string &path, const ChipConfig &base)
 {
     KeyValueFile kv = KeyValueFile::load(path);
+    // The parser accepts nan and inf, which no field can take.
+    auto get = [&](const std::string &key, double fallback) {
+        double value = kv.get(key, fallback);
+        if (!std::isfinite(value))
+            fatal("loadChipConfig(", path, "): ", key,
+                  " must be finite, got ", value);
+        return value;
+    };
+
     ChipConfig config = base;
     for (const auto &field : kScalarFields) {
         double &ref = fieldRef(config, field);
-        ref = kv.get(field.key, ref);
+        ref = get(field.key, ref);
     }
 
-    config.core.clock_hz = kv.get("core.clock_hz",
-                                  config.core.clock_hz);
+    config.core.clock_hz = get("core.clock_hz", config.core.clock_hz);
     config.core.dispatch_width = static_cast<int>(
-        kv.get("core.dispatch_width", config.core.dispatch_width));
-    config.core.rob_size = static_cast<int>(
-        kv.get("core.rob_size", config.core.rob_size));
+        get("core.dispatch_width", config.core.dispatch_width));
+    config.core.rob_size =
+        static_cast<int>(get("core.rob_size", config.core.rob_size));
     config.core.max_branches_per_cycle = static_cast<int>(
-        kv.get("core.max_branches_per_cycle",
-               config.core.max_branches_per_cycle));
+        get("core.max_branches_per_cycle",
+            config.core.max_branches_per_cycle));
     config.core.static_power =
-        kv.get("core.static_power", config.core.static_power);
+        get("core.static_power", config.core.static_power);
     config.skitter.inverters = static_cast<int>(
-        kv.get("skitter.inverters", config.skitter.inverters));
+        get("skitter.inverters", config.skitter.inverters));
 
     for (int c = 0; c < kNumCores; ++c) {
         auto &v = config.variation.core[c];
-        v.power_scale = kv.get(coreKey("power_scale", c),
-                               v.power_scale);
-        v.rail_res_scale = kv.get(coreKey("rail_res_scale", c),
-                                  v.rail_res_scale);
-        v.decap_scale = kv.get(coreKey("decap_scale", c),
-                               v.decap_scale);
-        v.skitter_gain_scale = kv.get(coreKey("skitter_gain_scale", c),
-                                      v.skitter_gain_scale);
+        v.power_scale = get(coreKey("power_scale", c), v.power_scale);
+        v.rail_res_scale =
+            get(coreKey("rail_res_scale", c), v.rail_res_scale);
+        v.decap_scale = get(coreKey("decap_scale", c), v.decap_scale);
+        v.skitter_gain_scale =
+            get(coreKey("skitter_gain_scale", c), v.skitter_gain_scale);
     }
     return config;
 }

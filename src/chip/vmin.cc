@@ -28,10 +28,10 @@ VminExperiment::VminExperiment(ChipConfig base, double bias_step,
     : chip_(atNominal(std::move(base))), bias_step_(bias_step),
       max_bias_(max_bias)
 {
-    if (bias_step_ <= 0.0 || bias_step_ > 0.05)
+    if (!(bias_step_ > 0.0 && bias_step_ <= 0.05))
         fatal("VminExperiment: bias_step must be in (0, 0.05], got ",
               bias_step_);
-    if (max_bias_ <= 0.0 || max_bias_ > 0.3)
+    if (!(max_bias_ > 0.0 && max_bias_ <= 0.3))
         fatal("VminExperiment: max_bias must be in (0, 0.3], got ",
               max_bias_);
 }

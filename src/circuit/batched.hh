@@ -7,18 +7,21 @@
  * unknown/reactive-element i and lane k lives at index `i * lanes + k`
  * — so the innermost loop of every kernel (right-hand-side assembly,
  * forward/back substitution, companion-state update) runs over
- * contiguous lanes and vectorizes. Each lu(i, j) entry is loaded once
- * per step and amortized over all K lanes, which is where the
+ * contiguous lanes and vectorizes. Each non-zero factor entry is loaded
+ * once per step and amortized over all K lanes, which is where the
  * order-of-magnitude campaign speedup comes from: a 1000-seed campaign
  * becomes ~1000/K substitution sweeps.
  *
  * Determinism contract: lane k executes *exactly* the scalar
- * TransientSolver operation sequence (same stamp order, same j-loop
- * order, no cross-lane arithmetic), so its voltages, currents and
- * reactive states are bit-identical to a scalar solver fed the same
- * stimulus. tests/circuit/test_batched.cc enforces this byte-for-byte;
- * it is what lets lane-batched campaigns share cache entries and wire
- * responses with scalar runs.
+ * TransientSolver operation sequence (same stamp order, the same
+ * factor entries in the same order, no cross-lane arithmetic), so its
+ * voltages, currents and reactive states are bit-identical to a scalar
+ * solver fed the same stimulus. Both paths skip exactly the factor's
+ * zero entries, which leaves them bit-identical to dense substitution
+ * too unless a running sum is exactly -0.0 or a solution entry is not
+ * finite (see LuSolver). tests/circuit/test_batched.cc enforces this
+ * byte-for-byte; it is what lets lane-batched campaigns share cache
+ * entries and wire responses with scalar runs.
  */
 
 #ifndef VN_CIRCUIT_BATCHED_HH

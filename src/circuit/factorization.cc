@@ -1,6 +1,7 @@
 #include "circuit/factorization.hh"
 
 #include <bit>
+#include <cmath>
 
 #include "runtime/hash.hh"
 #include "util/logging.hh"
@@ -117,8 +118,8 @@ netlistContentEquals(const Netlist &a, const Netlist &b)
 Factorization::Factorization(const Netlist &netlist, double dt)
     : netlist_(netlist), dt_(dt)
 {
-    if (dt <= 0.0)
-        fatal("Factorization: dt must be > 0, got ", dt);
+    if (!(dt > 0.0) || !std::isfinite(dt))
+        fatal("Factorization: dt must be finite and > 0, got ", dt);
 
     num_nodes_ = netlist_.nodeCount() - 1;
     num_vsrc_ = netlist_.voltageSources().size();
@@ -134,12 +135,15 @@ Factorization::Factorization(const Netlist &netlist, double dt)
     for (const auto &l : netlist_.inductors())
         ind_req_.push_back(2.0 * l.henries / dt_);
 
-    buildTransientSystem();
+    lu_.factorize(transientMatrix());
 }
 
-void
-Factorization::buildTransientSystem()
+Matrix<double>
+Factorization::systemMatrix(bool transient) const
 {
+    // Stamping order is fixed (resistors, capacitors, sources,
+    // inductors), so each element sums its contributions in the same
+    // order on every call.
     Matrix<double> a(dim_, dim_);
 
     auto stamp_conductance = [&](NodeId na, NodeId nb, double g) {
@@ -158,7 +162,8 @@ Factorization::buildTransientSystem()
     for (const auto &r : netlist_.resistors())
         stamp_conductance(r.a, r.b, 1.0 / r.ohms);
 
-    for (size_t i = 0; i < netlist_.capacitors().size(); ++i) {
+    // Capacitors are open at DC.
+    for (size_t i = 0; transient && i < netlist_.capacitors().size(); ++i) {
         const auto &c = netlist_.capacitors()[i];
         stamp_conductance(c.a, c.b, cap_geq_[i]);
     }
@@ -178,6 +183,8 @@ Factorization::buildTransientSystem()
         }
     }
 
+    // Inductor branches keep their current unknowns at DC too, where
+    // they act as 0 V sources.
     for (size_t m = 0; m < num_ind_; ++m) {
         const auto &l = netlist_.inductors()[m];
         size_t row = num_nodes_ + num_vsrc_ + m;
@@ -192,73 +199,28 @@ Factorization::buildTransientSystem()
             a(row, ib) -= 1.0;
             a(ib, row) -= 1.0;
         }
-        a(row, row) -= ind_req_[m];
+        if (transient)
+            a(row, row) -= ind_req_[m];
     }
-
-    lu_.factorize(a);
+    return a;
 }
 
-void
-Factorization::buildDcSystem() const
+Matrix<double>
+Factorization::transientMatrix() const
 {
-    // DC system: capacitors open, inductors behave as 0 V sources (keep
-    // branch-current unknowns so currents through inductive paths are
-    // recovered directly).
-    Matrix<double> a(dim_, dim_);
+    return systemMatrix(true);
+}
 
-    auto stamp_conductance = [&](NodeId na, NodeId nb, double g) {
-        int ia = nodeIndex(na);
-        int ib = nodeIndex(nb);
-        if (ia >= 0)
-            a(ia, ia) += g;
-        if (ib >= 0)
-            a(ib, ib) += g;
-        if (ia >= 0 && ib >= 0) {
-            a(ia, ib) -= g;
-            a(ib, ia) -= g;
-        }
-    };
-
-    for (const auto &r : netlist_.resistors())
-        stamp_conductance(r.a, r.b, 1.0 / r.ohms);
-
-    for (size_t s = 0; s < num_vsrc_; ++s) {
-        const auto &v = netlist_.voltageSources()[s];
-        size_t row = num_nodes_ + s;
-        int ip = nodeIndex(v.pos);
-        int in = nodeIndex(v.neg);
-        if (ip >= 0) {
-            a(row, ip) += 1.0;
-            a(ip, row) += 1.0;
-        }
-        if (in >= 0) {
-            a(row, in) -= 1.0;
-            a(in, row) -= 1.0;
-        }
-    }
-
-    for (size_t m = 0; m < num_ind_; ++m) {
-        const auto &l = netlist_.inductors()[m];
-        size_t row = num_nodes_ + num_vsrc_ + m;
-        int ia = nodeIndex(l.a);
-        int ib = nodeIndex(l.b);
-        if (ia >= 0) {
-            a(row, ia) += 1.0;
-            a(ia, row) += 1.0;
-        }
-        if (ib >= 0) {
-            a(row, ib) -= 1.0;
-            a(ib, row) -= 1.0;
-        }
-    }
-
-    dc_lu_.factorize(a);
+Matrix<double>
+Factorization::dcMatrix() const
+{
+    return systemMatrix(false);
 }
 
 const LuSolver<double> &
 Factorization::dcLu() const
 {
-    std::call_once(dc_once_, [this] { buildDcSystem(); });
+    std::call_once(dc_once_, [this] { dc_lu_.factorize(dcMatrix()); });
     return dc_lu_;
 }
 
@@ -272,8 +234,8 @@ FactorizationCache::global()
 std::shared_ptr<const Factorization>
 FactorizationCache::get(const Netlist &netlist, double dt)
 {
-    if (dt <= 0.0)
-        fatal("FactorizationCache: dt must be > 0, got ", dt);
+    if (!(dt > 0.0) || !std::isfinite(dt))
+        fatal("FactorizationCache: dt must be finite and > 0, got ", dt);
     Key key{netlistContentHash(netlist), doubleBits(dt)};
 
     {

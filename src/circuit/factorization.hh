@@ -92,6 +92,15 @@ class Factorization
      */
     const LuSolver<double> &dcLu() const;
 
+    /**
+     * The trapezoidal MNA system matrix transientLu() factorizes,
+     * stamped afresh on each call.
+     */
+    Matrix<double> transientMatrix() const;
+
+    /** The DC operating-point system matrix dcLu() factorizes. */
+    Matrix<double> dcMatrix() const;
+
     /** Trapezoidal companion conductance 2C/dt per capacitor. */
     std::span<const double> capGeq() const { return cap_geq_; }
 
@@ -99,8 +108,8 @@ class Factorization
     std::span<const double> indReq() const { return ind_req_; }
 
   private:
-    void buildTransientSystem();
-    void buildDcSystem() const;
+    /** Stamp the transient system, or the DC one (`transient` off). */
+    Matrix<double> systemMatrix(bool transient) const;
 
     Netlist netlist_;
     double dt_;

@@ -1,5 +1,7 @@
 #include "circuit/netlist.hh"
 
+#include <cmath>
+
 #include "util/logging.hh"
 
 namespace vn
@@ -30,9 +32,9 @@ Netlist::addResistor(NodeId a, NodeId b, double ohms,
 {
     checkNode(a, "addResistor");
     checkNode(b, "addResistor");
-    if (ohms <= 0.0)
-        fatal("Netlist::addResistor(", name, "): ohms must be > 0, got ",
-              ohms);
+    if (!(ohms > 0.0) || !std::isfinite(ohms))
+        fatal("Netlist::addResistor(", name,
+              "): ohms must be finite and > 0, got ", ohms);
     if (a == b)
         fatal("Netlist::addResistor(", name, "): both terminals on node ",
               a);
@@ -45,9 +47,9 @@ Netlist::addInductor(NodeId a, NodeId b, double henries,
 {
     checkNode(a, "addInductor");
     checkNode(b, "addInductor");
-    if (henries <= 0.0)
-        fatal("Netlist::addInductor(", name, "): henries must be > 0, got ",
-              henries);
+    if (!(henries > 0.0) || !std::isfinite(henries))
+        fatal("Netlist::addInductor(", name,
+              "): henries must be finite and > 0, got ", henries);
     if (a == b)
         fatal("Netlist::addInductor(", name, "): both terminals on node ",
               a);
@@ -60,9 +62,9 @@ Netlist::addCapacitor(NodeId a, NodeId b, double farads,
 {
     checkNode(a, "addCapacitor");
     checkNode(b, "addCapacitor");
-    if (farads <= 0.0)
-        fatal("Netlist::addCapacitor(", name, "): farads must be > 0, got ",
-              farads);
+    if (!(farads > 0.0) || !std::isfinite(farads))
+        fatal("Netlist::addCapacitor(", name,
+              "): farads must be finite and > 0, got ", farads);
     if (a == b)
         fatal("Netlist::addCapacitor(", name, "): both terminals on node ",
               a);
@@ -75,6 +77,9 @@ Netlist::addVoltageSource(NodeId pos, NodeId neg, double volts,
 {
     checkNode(pos, "addVoltageSource");
     checkNode(neg, "addVoltageSource");
+    if (!std::isfinite(volts))
+        fatal("Netlist::addVoltageSource(", name,
+              "): volts must be finite, got ", volts);
     if (pos == neg)
         fatal("Netlist::addVoltageSource(", name,
               "): both terminals on node ", pos);

@@ -10,6 +10,13 @@
  * touched over a measurement window, and the result is reported as
  * percentage peak-to-peak variation (%p2p) of the edge position.
  *
+ * The latched position is monotone non-decreasing in voltage, so the
+ * lowest and highest latch a sticky window touches are the latches of
+ * its lowest and highest voltage. A sensor reading built on a
+ * simulation can therefore feed a fresh skitter just the window's two
+ * voltage extremes at the end instead of sampling every step; the chip
+ * model reads all its skitters this way.
+ *
  * The model keeps the two properties the paper leans on:
  *  - discretized readings (integer latch positions -> the step-function
  *    look of Fig. 7a), and
@@ -51,7 +58,10 @@ class Skitter
      */
     double edgePosition(double v) const;
 
-    /** Latched (integer) edge position for a voltage. */
+    /**
+     * Latched (integer) edge position for a voltage; monotone
+     * non-decreasing in v.
+     */
     int latchedPosition(double v) const;
 
     /** Edge position at the calibration voltage. */

@@ -9,11 +9,14 @@
  * the per-row running sums live in vector registers for the whole
  * substitution loop — the widened equivalent of the scalar solveInto()
  * `sum` variable — instead of bouncing through a store-to-load forward
- * on every j iteration.
+ * on every factor entry.
  *
  * Bit-identity contract: per lane this performs *exactly* the scalar
- * solveInto() operation sequence — same j order, no zero skips, one
- * multiply and one subtract per (i, j), one divide per row. Chunking
+ * solveInto() operation sequence — the factor's non-zero entries of
+ * each row in ascending column order, one multiply and one subtract
+ * per entry, one divide per row. It skips exactly the factor's zero
+ * entries, so it matches dense substitution too unless a running sum
+ * is exactly -0.0 or some x[j] is not finite (see LuSolver). Chunking
  * groups lanes; it never reorders or reassociates a lane's arithmetic.
  * On x86-64 an AVX2 clone is dispatched at runtime; AVX2 vmulpd /
  * vsubpd / vdivpd are elementwise IEEE-identical to their scalar
@@ -21,7 +24,7 @@
  * bit is never enabled for either clone.
  */
 
-#include <cstddef>
+#include "util/matrix.hh"
 
 namespace vn::detail
 {
@@ -30,44 +33,59 @@ namespace
 {
 
 /**
+ * Subtract one factor row's terms from a chunk of KN lane sums:
+ * acc[k] -= value * x[col][k] for every non-zero of the row.
+ */
+template <size_t KN>
+[[gnu::always_inline]] inline void
+subtractRow(const size_t *col, const double *value, size_t begin,
+            size_t end, const double *x, size_t lanes, size_t k0,
+            double *acc)
+{
+    for (size_t p = begin; p < end; ++p) {
+        const double factor = value[p];
+        const double *xj = x + col[p] * lanes + k0;
+        for (size_t k = 0; k < KN; ++k)
+            acc[k] -= factor * xj[k];
+    }
+}
+
+/**
  * Substitute one chunk of KN lanes starting at lane offset k0. KN is a
  * compile-time constant so `acc` is fully scalarized into registers.
  */
 template <size_t KN>
 [[gnu::always_inline]] inline void
-solveChunk(const double *lu, const size_t *perm, size_t n,
-           const double *b, size_t lanes, size_t k0, double *x)
+solveChunk(const LuView &lu, const double *b, size_t lanes, size_t k0,
+           double *x)
 {
+    const size_t *l_start = lu.lower->start.data();
+    const size_t *l_col = lu.lower->col.data();
+    const double *l_value = lu.lower->value.data();
+    const size_t *u_start = lu.upper->start.data();
+    const size_t *u_col = lu.upper->col.data();
+    const double *u_value = lu.upper->value.data();
+
     double acc[KN];
     // Apply permutation and forward-substitute L (unit diagonal).
-    for (size_t i = 0; i < n; ++i) {
-        const double *bp = b + perm[i] * lanes + k0;
+    for (size_t i = 0; i < lu.n; ++i) {
+        const double *bp = b + lu.perm[i] * lanes + k0;
         for (size_t k = 0; k < KN; ++k)
             acc[k] = bp[k];
-        const double *row = lu + i * n;
-        for (size_t j = 0; j < i; ++j) {
-            const double factor = row[j];
-            const double *xj = x + j * lanes + k0;
-            for (size_t k = 0; k < KN; ++k)
-                acc[k] -= factor * xj[k];
-        }
+        subtractRow<KN>(l_col, l_value, l_start[i], l_start[i + 1], x,
+                        lanes, k0, acc);
         double *xi = x + i * lanes + k0;
         for (size_t k = 0; k < KN; ++k)
             xi[k] = acc[k];
     }
     // Back-substitute U.
-    for (size_t ii = n; ii-- > 0;) {
+    for (size_t ii = lu.n; ii-- > 0;) {
         double *xi = x + ii * lanes + k0;
         for (size_t k = 0; k < KN; ++k)
             acc[k] = xi[k];
-        const double *row = lu + ii * n;
-        for (size_t j = ii + 1; j < n; ++j) {
-            const double factor = row[j];
-            const double *xj = x + j * lanes + k0;
-            for (size_t k = 0; k < KN; ++k)
-                acc[k] -= factor * xj[k];
-        }
-        const double diag = row[ii];
+        subtractRow<KN>(u_col, u_value, u_start[ii], u_start[ii + 1], x,
+                        lanes, k0, acc);
+        const double diag = lu.diag[ii];
         for (size_t k = 0; k < KN; ++k)
             xi[k] = acc[k] / diag;
     }
@@ -75,20 +93,19 @@ solveChunk(const double *lu, const size_t *perm, size_t n,
 
 /** Full-width chunks of 8 lanes, then one constant-width remainder. */
 [[gnu::always_inline]] inline void
-solveAll(const double *lu, const size_t *perm, size_t n, const double *b,
-         size_t lanes, double *x)
+solveAll(const LuView &lu, const double *b, size_t lanes, double *x)
 {
     size_t k0 = 0;
     for (; k0 + 8 <= lanes; k0 += 8)
-        solveChunk<8>(lu, perm, n, b, lanes, k0, x);
+        solveChunk<8>(lu, b, lanes, k0, x);
     switch (lanes - k0) {
-    case 1: solveChunk<1>(lu, perm, n, b, lanes, k0, x); break;
-    case 2: solveChunk<2>(lu, perm, n, b, lanes, k0, x); break;
-    case 3: solveChunk<3>(lu, perm, n, b, lanes, k0, x); break;
-    case 4: solveChunk<4>(lu, perm, n, b, lanes, k0, x); break;
-    case 5: solveChunk<5>(lu, perm, n, b, lanes, k0, x); break;
-    case 6: solveChunk<6>(lu, perm, n, b, lanes, k0, x); break;
-    case 7: solveChunk<7>(lu, perm, n, b, lanes, k0, x); break;
+    case 1: solveChunk<1>(lu, b, lanes, k0, x); break;
+    case 2: solveChunk<2>(lu, b, lanes, k0, x); break;
+    case 3: solveChunk<3>(lu, b, lanes, k0, x); break;
+    case 4: solveChunk<4>(lu, b, lanes, k0, x); break;
+    case 5: solveChunk<5>(lu, b, lanes, k0, x); break;
+    case 6: solveChunk<6>(lu, b, lanes, k0, x); break;
+    case 7: solveChunk<7>(lu, b, lanes, k0, x); break;
     default: break;
     }
 }
@@ -103,27 +120,26 @@ solveAll(const double *lu, const size_t *perm, size_t n, const double *b,
  * the avx2 target, so the constant-trip lane loops vectorize 4-wide.
  */
 __attribute__((target("avx2"))) void
-solveAllAvx2(const double *lu, const size_t *perm, size_t n,
-             const double *b, size_t lanes, double *x)
+solveAllAvx2(const LuView &lu, const double *b, size_t lanes, double *x)
 {
-    solveAll(lu, perm, n, b, lanes, x);
+    solveAll(lu, b, lanes, x);
 }
 #endif
 
 } // namespace
 
 void
-solveLanesDouble(const double *lu, const size_t *perm, size_t n,
-                 const double *b, size_t lanes, double *x)
+solveLanesDouble(const LuView &lu, const double *b, size_t lanes,
+                 double *x)
 {
 #ifdef VN_LANES_AVX2
     static const bool have_avx2 = __builtin_cpu_supports("avx2");
     if (have_avx2) {
-        solveAllAvx2(lu, perm, n, b, lanes, x);
+        solveAllAvx2(lu, b, lanes, x);
         return;
     }
 #endif
-    solveAll(lu, perm, n, b, lanes, x);
+    solveAll(lu, b, lanes, x);
 }
 
 } // namespace vn::detail

@@ -7,9 +7,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "chip/chip.hh"
 #include "chip/vmin.hh"
@@ -376,6 +379,140 @@ TEST(ChipModelTest, InvalidConfigIsFatal)
             << e.what();
     }
     vn::setThrowOnError(prev);
+}
+
+TEST(ChipModelTest, NonFiniteInputsAreFatal)
+{
+    // NaN passes every "<= 0" test, and an infinite duration turns
+    // into an undefined step count; each must be rejected up front.
+    bool prev = vn::setThrowOnError(true);
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    for (double bad : {nan, inf}) {
+        vn::ChipConfig dt;
+        dt.dt = bad;
+        EXPECT_THROW(vn::ChipModel{dt}, vn::FatalError);
+        vn::ChipConfig amps;
+        amps.power_unit_amps = bad;
+        EXPECT_THROW(vn::ChipModel{amps}, vn::FatalError);
+        vn::ChipConfig bias;
+        bias.bias = bad;
+        EXPECT_THROW(vn::ChipModel{bias}, vn::FatalError);
+        vn::ChipConfig pdn;
+        pdn.pdn.r_mb = bad;
+        EXPECT_THROW(vn::ChipModel{pdn}, vn::FatalError);
+    }
+
+    vn::ChipModel chip;
+    const auto idle = allCores(chip.idleActivity());
+    const std::vector<std::array<vn::CoreActivity, vn::kNumCores>> batch = {
+        idle};
+    const std::vector<double> biases = {0.0, 0.1};
+    for (double bad : {nan, inf}) {
+        EXPECT_THROW(chip.run(idle, bad), vn::FatalError);
+        EXPECT_THROW(chip.runBatch(batch, bad), vn::FatalError);
+        EXPECT_THROW(chip.scanFailures(idle, biases, bad), vn::FatalError);
+        const std::vector<double> bad_bias = {0.0, bad};
+        EXPECT_THROW(chip.scanFailures(idle, bad_bias, 1e-6),
+                     vn::FatalError);
+    }
+
+    vn::ChipConfig config;
+    EXPECT_THROW(vn::VminExperiment(config, nan, 0.2), vn::FatalError);
+    EXPECT_THROW(vn::VminExperiment(config, 0.01, nan), vn::FatalError);
+    vn::setThrowOnError(prev);
+}
+
+TEST(ChipModelTest, SkitterLatchMonotoneAcrossEveryBoundary)
+{
+    // The readout from window extremes rests on latchedPosition being
+    // non-decreasing in voltage. Walk +-256 ULPs around every latch
+    // boundary for the default skitter and every core's gain scale.
+    std::vector<vn::SkitterParams> all_params = {vn::SkitterParams{}};
+    for (const auto &core : vn::VariationProfile::defaultZec12().core) {
+        vn::SkitterParams params;
+        params.gain *= core.skitter_gain_scale;
+        all_params.push_back(params);
+    }
+    const double inf = std::numeric_limits<double>::infinity();
+    for (const auto &params : all_params) {
+        SCOPED_TRACE("gain " + std::to_string(params.gain));
+        const vn::Skitter skitter(params);
+        const double headroom = params.vnom - params.vth;
+        for (int latch = 1; latch <= params.inverters; ++latch) {
+            // Invert edgePosition() to land near the boundary.
+            const double v =
+                params.vth +
+                headroom * std::pow(latch / skitter.nominalPosition(),
+                                    1.0 / (params.alpha * params.gain));
+            double x = v;
+            for (int u = 0; u < 256; ++u)
+                x = std::nextafter(x, -inf);
+            int prev = skitter.latchedPosition(x);
+            ASSERT_EQ(prev, latch - 1) << "v " << v;
+            for (int u = 0; u < 512; ++u) {
+                x = std::nextafter(x, inf);
+                const int pos = skitter.latchedPosition(x);
+                ASSERT_GE(pos, prev) << "latch " << latch << " v " << x;
+                prev = pos;
+            }
+            ASSERT_EQ(prev, latch) << "v " << v;
+        }
+    }
+}
+
+TEST(ChipModelTest, SkitterReadoutMatchesPerSampleReplay)
+{
+    // run() and runBatch() read each skitter from the window's voltage
+    // extremes. Replaying every captured sample from t >= warmup
+    // through a sticky skitter must read the same latches and %p2p;
+    // t is rebuilt by the solver's own `t += dt` accumulation.
+    for (bool uniform : {false, true}) {
+        SCOPED_TRACE(uniform ? "uniform variation" : "default variation");
+        vn::ChipConfig config;
+        if (uniform)
+            config.variation = vn::VariationProfile::uniform();
+        vn::ChipModel chip(config);
+        vn::RunOptions options;
+        options.capture_traces = true;
+        options.trace_decimation = 1;
+
+        const auto idle = chip.idleActivity();
+        std::vector<std::array<vn::CoreActivity, vn::kNumCores>> workloads =
+            {allCores(squareWave(2.6e6, true)),
+             {squareWave(2.0e6, true), idle, squareWave(2.6e6, true, 7),
+              idle, squareWave(1.1e6, true), idle},
+             allCores(idle)};
+        std::vector<vn::ChipRunResult> results =
+            chip.runBatch(workloads, 3e-6, options);
+        results.push_back(chip.run(workloads[0], 3e-6, options));
+
+        int noisy = 0;
+        for (size_t r = 0; r < results.size(); ++r) {
+            for (int c = 0; c < vn::kNumCores; ++c) {
+                SCOPED_TRACE("result " + std::to_string(r) + " core " +
+                             std::to_string(c));
+                vn::SkitterParams params = config.skitter;
+                params.gain *= config.variation.core[c].skitter_gain_scale;
+                vn::Skitter replay(params);
+                const vn::Waveform &trace = results[r].traces[c];
+                double t = 0.0;
+                for (size_t i = 0; i < trace.size(); ++i) {
+                    t += config.dt;
+                    if (t >= options.warmup)
+                        replay.sample(trace[i]);
+                }
+                const vn::CoreRunResult &core = results[r].core[c];
+                EXPECT_EQ(core.min_latch, replay.minPosition());
+                EXPECT_EQ(core.max_latch, replay.maxPosition());
+                const double p2p = replay.percentP2p();
+                EXPECT_EQ(std::memcmp(&core.p2p, &p2p, sizeof p2p), 0);
+                noisy += core.max_latch > core.min_latch ? 1 : 0;
+            }
+        }
+        // The windows cross latch boundaries, so the check has teeth.
+        EXPECT_GT(noisy, 6);
+    }
 }
 
 } // namespace

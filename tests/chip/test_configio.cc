@@ -123,6 +123,23 @@ TEST(ConfigIoTest, PartialFileOverridesOnlyListedKeys)
                      vn::ChipConfig{}.power_unit_amps);
 }
 
+TEST(ConfigIoTest, NonFiniteValueIsFatal)
+{
+    // KeyValueFile parses "nan" and "inf"; no chip field can take them.
+    bool prev = vn::setThrowOnError(true);
+    for (const char *line : {"pdn.r_mb = nan\n", "chip.dt = inf\n",
+                             "variation.core3.decap_scale = -inf\n"}) {
+        SCOPED_TRACE(line);
+        TempFile tmp("chip_nonfinite.cfg");
+        {
+            std::ofstream ofs(tmp.path());
+            ofs << line;
+        }
+        EXPECT_THROW(vn::loadChipConfig(tmp.path()), vn::FatalError);
+    }
+    vn::setThrowOnError(prev);
+}
+
 TEST(ConfigIoTest, LoadedConfigBuildsAWorkingChip)
 {
     TempFile tmp("chip_usable.cfg");

@@ -11,6 +11,10 @@
  * per-lane source values, and at the ChipModel::runBatch and
  * ChipModel::scanFailures level.
  *
+ * Both paths walk the same sparse factor rows, so they are also checked
+ * against a test-local copy of dense substitution (every (i, j), no
+ * skips): SparseLuOracleTest.
+ *
  * FactorizationCacheTest.ConcurrentGetInternsOnePointer doubles as the
  * ThreadSanitizer target for the cache's locking (scripts/check.sh
  * runs it under the tsan preset).
@@ -21,9 +25,12 @@
 #include <array>
 #include <cmath>
 #include <cstring>
+#include <span>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "analysis/scaling.hh"
 #include "chip/chip.hh"
 #include "circuit/batched.hh"
 #include "circuit/factorization.hh"
@@ -156,6 +163,292 @@ expectLanesMatchScalar(const vn::Netlist &net, double dt, size_t lanes,
         if (s % 97 == 0 || s == steps)
             check(s);
     }
+}
+
+/**
+ * Test-local copy of the dense LU the solver used before it kept only
+ * the factor's non-zeros: the same pivoted elimination, then every
+ * (i, j) entry in every substitution, no skips. The oracle the sparse
+ * rows are checked against.
+ */
+class DenseLu
+{
+  public:
+    explicit DenseLu(vn::Matrix<double> a)
+        : n_(a.rows()), lu_(std::move(a)), perm_(n_)
+    {
+        for (size_t i = 0; i < n_; ++i)
+            perm_[i] = i;
+        for (size_t k = 0; k < n_; ++k) {
+            size_t pivot = k;
+            double best = std::fabs(lu_(k, k));
+            for (size_t i = k + 1; i < n_; ++i) {
+                double mag = std::fabs(lu_(i, k));
+                if (mag > best) {
+                    best = mag;
+                    pivot = i;
+                }
+            }
+            if (pivot != k) {
+                for (size_t j = 0; j < n_; ++j)
+                    std::swap(lu_(k, j), lu_(pivot, j));
+                std::swap(perm_[k], perm_[pivot]);
+            }
+            for (size_t i = k + 1; i < n_; ++i) {
+                double factor = lu_(i, k) / lu_(k, k);
+                lu_(i, k) = factor;
+                if (factor == 0.0)
+                    continue;
+                for (size_t j = k + 1; j < n_; ++j)
+                    lu_(i, j) -= factor * lu_(k, j);
+            }
+        }
+    }
+
+    void
+    solve(const std::vector<double> &b, std::vector<double> &x) const
+    {
+        x.resize(n_);
+        for (size_t i = 0; i < n_; ++i) {
+            double sum = b[perm_[i]];
+            for (size_t j = 0; j < i; ++j)
+                sum -= lu_(i, j) * x[j];
+            x[i] = sum;
+        }
+        for (size_t ii = n_; ii-- > 0;) {
+            double sum = x[ii];
+            for (size_t j = ii + 1; j < n_; ++j)
+                sum -= lu_(ii, j) * x[j];
+            x[ii] = sum / lu_(ii, ii);
+        }
+    }
+
+  private:
+    size_t n_;
+    vn::Matrix<double> lu_;
+    std::vector<size_t> perm_;
+};
+
+/**
+ * Stressmark-shaped port current: a high/low square wave near the
+ * die resonance (lane- and port-dependent period and phase) with a
+ * small ripple, so consecutive right-hand sides differ in every bit.
+ */
+double
+stressCurrent(size_t lane, size_t port, uint64_t step, double dt)
+{
+    const double t = static_cast<double>(step) * dt;
+    const double period = 400e-9 + 25e-9 * static_cast<double>(lane % 5);
+    const double phase = 37e-9 * static_cast<double>(port + 3 * lane);
+    const bool high = std::fmod(t + phase, period) < 0.5 * period;
+    const double level = high ? 44.0 + 1.5 * static_cast<double>(port % 4)
+                              : 17.0;
+    return level + 0.25 * std::sin(0.37 * static_cast<double>(step) +
+                                   static_cast<double>(lane + port));
+}
+
+/**
+ * One lane of a test-local trapezoidal transient driven by the dense
+ * oracle: it only has to produce realistic right-hand sides, step
+ * after step.
+ */
+struct OracleLane
+{
+    std::vector<double> cap_v, cap_i, ind_i, ind_v, rhs, x;
+};
+
+/** Right-hand side of the DC system (sources and port currents). */
+void
+dcRhs(const vn::Factorization &f, std::span<const double> currents,
+      std::vector<double> &rhs)
+{
+    const vn::Netlist &net = f.netlist();
+    rhs.assign(f.dim(), 0.0);
+    for (size_t s = 0; s < f.numVoltageSources(); ++s)
+        rhs[f.numNodes() + s] = net.voltageSources()[s].volts;
+    for (size_t p = 0; p < net.ports().size(); ++p) {
+        const auto &port = net.ports()[p];
+        if (port.from != vn::Netlist::ground)
+            rhs[static_cast<size_t>(port.from - 1)] -= currents[p];
+        if (port.to != vn::Netlist::ground)
+            rhs[static_cast<size_t>(port.to - 1)] += currents[p];
+    }
+}
+
+double
+branchVolts(const std::vector<double> &x, vn::NodeId a, vn::NodeId b)
+{
+    auto v = [&](vn::NodeId n) {
+        return n == vn::Netlist::ground ? 0.0
+                                        : x[static_cast<size_t>(n - 1)];
+    };
+    return v(a) - v(b);
+}
+
+/** Trapezoidal right-hand side: DC terms plus companion histories. */
+void
+transientRhs(const vn::Factorization &f, std::span<const double> currents,
+             OracleLane &lane)
+{
+    const vn::Netlist &net = f.netlist();
+    dcRhs(f, currents, lane.rhs);
+    for (size_t i = 0; i < net.capacitors().size(); ++i) {
+        const auto &c = net.capacitors()[i];
+        const double ieq = f.capGeq()[i] * lane.cap_v[i] + lane.cap_i[i];
+        if (c.a != vn::Netlist::ground)
+            lane.rhs[static_cast<size_t>(c.a - 1)] += ieq;
+        if (c.b != vn::Netlist::ground)
+            lane.rhs[static_cast<size_t>(c.b - 1)] -= ieq;
+    }
+    const size_t branch0 = f.numNodes() + f.numVoltageSources();
+    for (size_t m = 0; m < f.numInductors(); ++m)
+        lane.rhs[branch0 + m] =
+            -(f.indReq()[m] * lane.ind_i[m] + lane.ind_v[m]);
+}
+
+/** Companion-state update from the step's solution. */
+void
+advanceState(const vn::Factorization &f, OracleLane &lane, bool from_dc)
+{
+    const vn::Netlist &net = f.netlist();
+    lane.cap_v.resize(net.capacitors().size());
+    lane.cap_i.resize(net.capacitors().size());
+    lane.ind_i.resize(f.numInductors());
+    lane.ind_v.resize(f.numInductors());
+    for (size_t i = 0; i < net.capacitors().size(); ++i) {
+        const auto &c = net.capacitors()[i];
+        const double v_new = branchVolts(lane.x, c.a, c.b);
+        const double ieq = f.capGeq()[i] * lane.cap_v[i] + lane.cap_i[i];
+        lane.cap_i[i] = from_dc ? 0.0 : f.capGeq()[i] * v_new - ieq;
+        lane.cap_v[i] = v_new;
+    }
+    const size_t branch0 = f.numNodes() + f.numVoltageSources();
+    for (size_t m = 0; m < f.numInductors(); ++m) {
+        const auto &l = net.inductors()[m];
+        lane.ind_i[m] = lane.x[branch0 + m];
+        lane.ind_v[m] = from_dc ? 0.0 : branchVolts(lane.x, l.a, l.b);
+    }
+}
+
+/** Index of the first element whose bits differ, or -1. */
+long
+firstBitMismatch(const double *a, const double *b, size_t n,
+                 size_t stride = 1)
+{
+    for (size_t i = 0; i < n; ++i)
+        if (!sameBits(a[i], b[i * stride]))
+            return static_cast<long>(i);
+    return -1;
+}
+
+/**
+ * Drive 11 stimulus lanes for `steps` steps through the transient (or
+ * DC) system of `net` at `dt`. At every step, check byte-for-byte
+ * that LuSolver's scalar solveInto() of each lane, and its
+ * solveLanesInto() over the first K lanes for K in {1, 3, 8, 11},
+ * equal the dense oracle's solution.
+ */
+void
+expectSparseMatchesDense(const vn::Netlist &net, double dt, bool dc,
+                         uint64_t steps)
+{
+    constexpr size_t kLanes = 11;
+    const std::array<size_t, 4> lane_counts = {1, 3, 8, 11};
+    auto fact = vn::FactorizationCache::global().get(net, dt);
+    const vn::Factorization &f = *fact;
+    const vn::LuSolver<double> &lu = dc ? f.dcLu() : f.transientLu();
+    const DenseLu dense(dc ? f.dcMatrix() : f.transientMatrix());
+    const size_t n = f.dim();
+    const size_t ports = net.ports().size();
+
+    std::vector<OracleLane> lanes(kLanes);
+    std::vector<double> currents(ports);
+    auto fill_currents = [&](size_t k, uint64_t step) {
+        for (size_t p = 0; p < ports; ++p)
+            currents[p] = stressCurrent(k, p, step, dt);
+    };
+    // Start every lane at its DC operating point, as the solvers do.
+    const DenseLu dense_dc(f.dcMatrix());
+    for (size_t k = 0; k < kLanes; ++k) {
+        fill_currents(k, 0);
+        dcRhs(f, currents, lanes[k].rhs);
+        dense_dc.solve(lanes[k].rhs, lanes[k].x);
+        advanceState(f, lanes[k], true);
+    }
+
+    std::vector<double> sparse, soa_rhs, soa_x;
+    for (uint64_t step = 1; step <= steps; ++step) {
+        for (size_t k = 0; k < kLanes; ++k) {
+            fill_currents(k, step);
+            if (dc)
+                dcRhs(f, currents, lanes[k].rhs);
+            else
+                transientRhs(f, currents, lanes[k]);
+            dense.solve(lanes[k].rhs, lanes[k].x);
+            lu.solveInto(lanes[k].rhs, sparse);
+            ASSERT_EQ(firstBitMismatch(sparse.data(), lanes[k].x.data(), n),
+                      -1)
+                << "scalar, lane " << k << " step " << step;
+        }
+        for (size_t count : lane_counts) {
+            soa_rhs.resize(n * count);
+            for (size_t i = 0; i < n; ++i)
+                for (size_t k = 0; k < count; ++k)
+                    soa_rhs[i * count + k] = lanes[k].rhs[i];
+            lu.solveLanesInto(soa_rhs, count, soa_x);
+            for (size_t k = 0; k < count; ++k) {
+                ASSERT_EQ(firstBitMismatch(lanes[k].x.data(), &soa_x[k], n,
+                                           count),
+                          -1)
+                    << "K=" << count << ", lane " << k << " step " << step;
+            }
+        }
+        if (!dc)
+            for (auto &lane : lanes)
+                advanceState(f, lane, false);
+    }
+}
+
+TEST(SparseLuOracleTest, ChipPdnMatchesDenseSubstitution)
+{
+    for (double dt : {1e-9, 2e-9}) {
+        SCOPED_TRACE("dt " + std::to_string(dt));
+        vn::ChipConfig config;
+        config.dt = dt;
+        vn::ChipModel chip(config);
+        const vn::LuSolver<double> &lu = chip.factorization()->transientLu();
+        // The operation count the sparse rows buy: 507 of the 2450
+        // off-diagonal factor slots are non-zero.
+        ASSERT_EQ(lu.size(), 50u);
+        EXPECT_EQ(lu.lowerNonZeros(), 252u);
+        EXPECT_EQ(lu.upperNonZeros(), 255u);
+        expectSparseMatchesDense(chip.pdn().netlist, dt, false, 20000);
+    }
+}
+
+TEST(SparseLuOracleTest, ChipPdnDcSystemMatchesDenseSubstitution)
+{
+    for (double dt : {1e-9, 2e-9}) {
+        SCOPED_TRACE("dt " + std::to_string(dt));
+        vn::ChipConfig config;
+        config.dt = dt;
+        vn::ChipModel chip(config);
+        expectSparseMatchesDense(chip.pdn().netlist, dt, true, 20000);
+    }
+}
+
+TEST(SparseLuOracleTest, ScalingPdn18CoresMatchesDenseSubstitution)
+{
+    // The 18-core chip of ext_scaling, with its variation draw.
+    vn::ScalablePdn pdn =
+        vn::buildScalablePdn(18, vn::PdnConfig{}, 0.04, 0xC0DE + 18);
+    expectSparseMatchesDense(pdn.netlist, 1e-9, false, 20000);
+}
+
+TEST(SparseLuOracleTest, LadderMatchesDenseSubstitution)
+{
+    expectSparseMatchesDense(makeLadder(), 1e-9, false, 20000);
+    expectSparseMatchesDense(makeLadder(), 1e-9, true, 20000);
 }
 
 TEST(BatchedBitIdentityTest, LadderLanesMatchScalarLongTransient)

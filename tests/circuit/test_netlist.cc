@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "circuit/netlist.hh"
 #include "util/logging.hh"
 
@@ -70,6 +72,32 @@ TEST(NetlistTest, RejectsNonPositiveValues)
                  vn::FatalError);
     EXPECT_THROW(net.addCapacitor(a, vn::Netlist::ground, -2.0),
                  vn::FatalError);
+    vn::setThrowOnError(prev);
+}
+
+TEST(NetlistTest, RejectsNonFiniteValues)
+{
+    // A NaN fails no "<= 0" test; every element check must reject it
+    // (and infinities) before it reaches the solver.
+    bool prev = vn::setThrowOnError(true);
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    vn::Netlist net;
+    vn::NodeId a = net.addNode("a");
+    EXPECT_THROW(net.addResistor(a, vn::Netlist::ground, nan),
+                 vn::FatalError);
+    EXPECT_THROW(net.addResistor(a, vn::Netlist::ground, inf),
+                 vn::FatalError);
+    EXPECT_THROW(net.addInductor(a, vn::Netlist::ground, nan),
+                 vn::FatalError);
+    EXPECT_THROW(net.addCapacitor(a, vn::Netlist::ground, inf),
+                 vn::FatalError);
+    EXPECT_THROW(net.addVoltageSource(a, vn::Netlist::ground, nan),
+                 vn::FatalError);
+    EXPECT_THROW(net.addVoltageSource(a, vn::Netlist::ground, -inf),
+                 vn::FatalError);
+    EXPECT_TRUE(net.resistors().empty());
+    EXPECT_TRUE(net.voltageSources().empty());
     vn::setThrowOnError(prev);
 }
 

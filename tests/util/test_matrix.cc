@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <complex>
+#include <limits>
 
 #include "util/logging.hh"
 #include "util/matrix.hh"
@@ -139,6 +140,19 @@ TEST(LuSolverTest, SingularMatrixIsFatal)
     a(0, 1) = 2.0;
     a(1, 0) = 2.0;
     a(1, 1) = 4.0; // rank 1
+    EXPECT_THROW(vn::LuSolver<double>{a}, vn::FatalError);
+    vn::setThrowOnError(prev);
+}
+
+TEST(LuSolverTest, NanPivotIsFatal)
+{
+    // NaN compares false to everything, so "pivot == 0" let it through.
+    bool prev = vn::setThrowOnError(true);
+    vn::Matrix<double> a(2, 2);
+    a(0, 0) = std::numeric_limits<double>::quiet_NaN();
+    a(0, 1) = 1.0;
+    a(1, 0) = 1.0;
+    a(1, 1) = 3.0;
     EXPECT_THROW(vn::LuSolver<double>{a}, vn::FatalError);
     vn::setThrowOnError(prev);
 }
