@@ -7,6 +7,13 @@
 # scripts/fig_digests.sha256. A refactor that moves any figure's
 # output by one bit fails here and names the bench.
 #
+# A cached pass follows: fig9_sync_sweep and fig13_propagation run
+# twice against a fresh --cache-dir under out/golden (cold, then warm,
+# replaying every job from the cache). Both stdouts must equal the
+# --no-cache one, and a per-bench manifest of the entry files' sha256,
+# sorted by name, is digested with the rest, so the bytes the result
+# cache writes are pinned too.
+#
 # Usage: scripts/fig_digests.sh [--update]
 #   --update  rewrite scripts/fig_digests.sha256 from this build (only
 #             for a change that is meant to move a figure)
@@ -46,12 +53,33 @@ for bench in "${benches[@]}"; do
         >"$VNOISE_OUT_DIR/$bench.stdout" 2>"$VNOISE_OUT_DIR/$bench.stderr"
 done
 
+cached=(fig9_sync_sweep fig13_propagation)
+for bench in "${cached[@]}"; do
+    dir="$VNOISE_OUT_DIR/cache_$bench"
+    rm -rf "$dir"
+    for pass in cold warm; do
+        out="$VNOISE_OUT_DIR/$bench.$pass"
+        ./build/bench/"$bench" --jobs 3 --cache-dir "$dir" \
+            >"$out.stdout" 2>"$out.stderr"
+        if ! cmp -s "$VNOISE_OUT_DIR/$bench.stdout" "$out.stdout"; then
+            echo "fig_digests: $bench stdout with a $pass cache" \
+                "differs from --no-cache" >&2
+            exit 1
+        fi
+    done
+    (cd "$dir" && LC_ALL=C ls | LC_ALL=C sort | xargs sha256sum) \
+        >"$VNOISE_OUT_DIR/$bench.cache.sha256"
+done
+
 cd "$VNOISE_OUT_DIR"
 outputs=()
 for bench in "${benches[@]}"; do
     outputs+=("$bench.stdout")
 done
 outputs+=(fig8_20us.csv fig8_period.csv)
+for bench in "${cached[@]}"; do
+    outputs+=("$bench.cache.sha256")
+done
 
 if ((update)); then
     sha256sum "${outputs[@]}" >"$list"

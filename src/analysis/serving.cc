@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <string>
+#include <string_view>
 
 #include "analysis/campaigns.hh"
 #include "runtime/campaign.hh"
@@ -41,6 +43,32 @@ checkSpec(const DroopTraceSpec &spec, double dt)
               static_cast<size_t>(samples), " samples (max ",
               kMaxTraceSamples, "); raise decimation");
 }
+
+/**
+ * Cache key of one trace sample, "s.%06zu" of its index, stepped in
+ * place so encoding and decoding a trace format no key from scratch.
+ */
+class SampleKey
+{
+  public:
+    std::string_view view() const { return {text_, sizeof(text_) - 1}; }
+
+    void
+    next()
+    {
+        for (size_t i = sizeof(text_) - 2; text_[i] != '.'; --i) {
+            if (text_[i] != '9') {
+                ++text_[i];
+                return;
+            }
+            text_[i] = '0';
+        }
+    }
+
+  private:
+    static_assert(kMaxTraceSamples <= 1000000, "six-digit sample keys");
+    char text_[9] = "s.000000";
+};
 
 } // namespace
 
@@ -93,16 +121,17 @@ droopTraces(const AnalysisContext &ctx,
 void
 encodeDroopTrace(const DroopTrace &t, KeyValueFile &kv)
 {
+    // Samples first: each then lands at the map's end.
+    SampleKey key;
+    for (double v : t.v) {
+        kv.set(std::string(key.view()), v);
+        key.next();
+    }
     kv.set("t0", t.t0);
     kv.set("dt", t.dt);
     kv.set("v_min", t.v_min);
     kv.set("v_max", t.v_max);
     kv.set("n", static_cast<double>(t.v.size()));
-    char key[24];
-    for (size_t i = 0; i < t.v.size(); ++i) {
-        std::snprintf(key, sizeof(key), "s.%06zu", i);
-        kv.set(key, t.v[i]);
-    }
 }
 
 DroopTrace
@@ -117,10 +146,22 @@ decodeDroopTrace(const KeyValueFile &kv)
     if (n > kMaxTraceSamples)
         fatal("decodeDroopTrace: corrupt entry (", n, " samples)");
     t.v.reserve(n);
-    char key[24];
-    for (size_t i = 0; i < n; ++i) {
-        std::snprintf(key, sizeof(key), "s.%06zu", i);
-        t.v.push_back(kv.require(key));
+    // The samples are consecutive in the sorted map: walk them, and
+    // look a key up only when the next entry is not it (a stray key
+    // sorts in between, or the sample is missing and require() is
+    // fatal).
+    const auto &values = kv.values();
+    auto it = values.lower_bound("s.");
+    SampleKey key;
+    for (size_t i = 0; i < n; ++i, key.next()) {
+        if (it != values.end() && it->first == key.view()) {
+            t.v.push_back(it->second);
+            ++it;
+            continue;
+        }
+        std::string name(key.view());
+        t.v.push_back(kv.require(name));
+        it = values.upper_bound(name);
     }
     return t;
 }

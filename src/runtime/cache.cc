@@ -7,6 +7,8 @@
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
+#include <mutex>
+#include <set>
 #include <vector>
 
 #include "runtime/faultfs.hh"
@@ -137,6 +139,25 @@ globalCounterState()
     return state;
 }
 
+/**
+ * True for the first open of `dir` in this process. Campaigns open a
+ * cache per collect(), so reaping on every open would walk the whole
+ * directory once per dispatcher batch; a temp file orphaned later in
+ * the process's life is left to scrub() or the next process.
+ */
+bool
+firstOpenInProcess(const std::string &dir)
+{
+    struct Reaped
+    {
+        std::mutex mutex;
+        std::set<std::string> dirs;
+    };
+    static auto *reaped = new Reaped(); // leaked, like the counters
+    std::lock_guard<std::mutex> lock(reaped->mutex);
+    return reaped->dirs.insert(dir).second;
+}
+
 } // namespace
 
 ResultCache::ResultCache(std::string dir, FaultFs *faults)
@@ -150,9 +171,12 @@ ResultCache::ResultCache(std::string dir, FaultFs *faults)
         fatal("ResultCache: cannot create '", dir_, "': ",
               ec.message());
 
-    // Reap temp files orphaned by crashed writers. Age-gated: a temp
-    // file younger than kTmpReapAge may belong to a concurrent live
-    // writer about to rename it, so only provably stale ones go.
+    // Reap temp files orphaned by crashed writers, once per directory
+    // per process. Age-gated: a temp file younger than kTmpReapAge may
+    // belong to a concurrent live writer about to rename it, so only
+    // provably stale ones go.
+    if (!firstOpenInProcess(dir_))
+        return;
     auto now = std::filesystem::file_time_type::clock::now();
     uint64_t reaped = 0;
     for (const auto &entry :

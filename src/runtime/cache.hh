@@ -22,8 +22,9 @@
  * write-temp / fsync(file) / rename / fsync(directory), so a torn
  * write, a power cut mid-rename, or a silently flipped bit is a
  * *counted corrupt miss* on the next load, never a served result.
- * Stray temp files from crashed writers are reaped at open; scrub()
- * re-verifies every entry and quarantines the corrupt ones. All
+ * Stray temp files from crashed writers are reaped at the first open
+ * of a directory in a process; scrub() re-verifies every entry,
+ * quarantines the corrupt ones and reaps temp files of any age. All
  * failure modes are injectable deterministically via FaultFs
  * (faultfs.hh) so recovery is proven seeded and replayable.
  */
@@ -80,9 +81,11 @@ class ResultCache
 {
   public:
     /**
-     * Opens (and creates, if needed) the cache directory, reaping
-     * stray `.tmp` files left behind by crashed writers (age-gated so
-     * a concurrent live writer's temp file survives). `faults`, when
+     * Opens (and creates, if needed) the cache directory. The first
+     * open of a directory in a process reaps stray `.tmp` files left
+     * behind by crashed writers (age-gated so a concurrent live
+     * writer's temp file survives); later opens skip the directory
+     * walk. `faults`, when
      * non-null, injects a scripted disk fault into each publish — the
      * caller keeps ownership and must outlive the cache.
      */

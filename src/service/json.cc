@@ -1,5 +1,6 @@
 #include "service/json.hh"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -11,8 +12,7 @@ Json
 Json::boolean(bool v)
 {
     Json j;
-    j.type_ = Type::Bool;
-    j.bool_ = v;
+    j.value_.emplace<bool>(v);
     return j;
 }
 
@@ -20,8 +20,7 @@ Json
 Json::number(double v)
 {
     Json j;
-    j.type_ = Type::Number;
-    j.number_ = v;
+    j.value_.emplace<double>(v);
     return j;
 }
 
@@ -29,8 +28,7 @@ Json
 Json::str(std::string v)
 {
     Json j;
-    j.type_ = Type::String;
-    j.string_ = std::move(v);
+    j.value_.emplace<std::string>(std::move(v));
     return j;
 }
 
@@ -38,7 +36,7 @@ Json
 Json::array()
 {
     Json j;
-    j.type_ = Type::Array;
+    j.value_.emplace<Items>();
     return j;
 }
 
@@ -46,60 +44,60 @@ Json
 Json::object()
 {
     Json j;
-    j.type_ = Type::Object;
+    j.value_.emplace<Members>();
     return j;
 }
 
 bool
 Json::asBool() const
 {
-    if (type_ != Type::Bool)
-        throw JsonError("expected a boolean");
-    return bool_;
+    if (const bool *v = std::get_if<bool>(&value_))
+        return *v;
+    throw JsonError("expected a boolean");
 }
 
 double
 Json::asNumber() const
 {
-    if (type_ != Type::Number)
-        throw JsonError("expected a number");
-    return number_;
+    if (const double *v = std::get_if<double>(&value_))
+        return *v;
+    throw JsonError("expected a number");
 }
 
 const std::string &
 Json::asString() const
 {
-    if (type_ != Type::String)
-        throw JsonError("expected a string");
-    return string_;
+    if (const std::string *v = std::get_if<std::string>(&value_))
+        return *v;
+    throw JsonError("expected a string");
 }
 
 size_t
 Json::size() const
 {
-    if (type_ == Type::Array)
-        return items_.size();
-    if (type_ == Type::Object)
-        return members_.size();
+    if (const Items *items = std::get_if<Items>(&value_))
+        return items->size();
+    if (const Members *members = std::get_if<Members>(&value_))
+        return members->size();
     throw JsonError("expected an array or object");
 }
 
 const Json &
 Json::at(size_t index) const
 {
-    if (type_ != Type::Array)
-        throw JsonError("expected an array");
-    if (index >= items_.size())
+    const Items &list = items();
+    if (index >= list.size())
         throw JsonError("array index out of range");
-    return items_[index];
+    return list[index];
 }
 
 bool
 Json::has(const std::string &key) const
 {
-    if (type_ != Type::Object)
+    const Members *members = std::get_if<Members>(&value_);
+    if (members == nullptr)
         return false;
-    for (const auto &[k, v] : members_)
+    for (const auto &[k, v] : *members)
         if (k == key)
             return true;
     return false;
@@ -108,9 +106,7 @@ Json::has(const std::string &key) const
 const Json &
 Json::at(const std::string &key) const
 {
-    if (type_ != Type::Object)
-        throw JsonError("expected an object");
-    for (const auto &[k, v] : members_)
+    for (const auto &[k, v] : members())
         if (k == key)
             return v;
     throw JsonError("missing member '" + key + "'");
@@ -131,43 +127,52 @@ Json::boolOr(const std::string &key, bool fallback) const
 void
 Json::push(Json value)
 {
-    if (type_ != Type::Array)
+    Items *items = std::get_if<Items>(&value_);
+    if (items == nullptr)
         throw JsonError("push on a non-array");
-    items_.push_back(std::move(value));
+    items->push_back(std::move(value));
 }
 
 void
 Json::set(const std::string &key, Json value)
 {
-    if (type_ != Type::Object)
+    Members *members = std::get_if<Members>(&value_);
+    if (members == nullptr)
         throw JsonError("set on a non-object");
-    for (auto &[k, v] : members_) {
+    for (auto &[k, v] : *members) {
         if (k == key) {
             v = std::move(value);
             return;
         }
     }
-    members_.emplace_back(key, std::move(value));
+    members->emplace_back(key, std::move(value));
 }
 
 const std::vector<Json> &
 Json::items() const
 {
-    if (type_ != Type::Array)
-        throw JsonError("expected an array");
-    return items_;
+    if (const Items *items = std::get_if<Items>(&value_))
+        return *items;
+    throw JsonError("expected an array");
 }
 
 const std::vector<std::pair<std::string, Json>> &
 Json::members() const
 {
-    if (type_ != Type::Object)
-        throw JsonError("expected an object");
-    return members_;
+    if (const Members *members = std::get_if<Members>(&value_))
+        return *members;
+    throw JsonError("expected an object");
 }
 
 namespace
 {
+
+/** A string byte that cannot appear raw between JSON quotes. */
+bool
+needsEscape(char c)
+{
+    return c == '"' || c == '\\' || static_cast<unsigned char>(c) < 0x20;
+}
 
 /** Recursive-descent parser over a string_view cursor. */
 class Parser
@@ -305,15 +310,17 @@ class Parser
         expect('"');
         std::string out;
         while (true) {
+            // Copy the run up to the next quote, escape or control
+            // character in one append.
+            size_t run = pos_;
+            while (pos_ < text_.size() && !needsEscape(text_[pos_]))
+                ++pos_;
+            out.append(text_.substr(run, pos_ - run));
             char c = take();
             if (c == '"')
                 return out;
-            if (static_cast<unsigned char>(c) < 0x20)
+            if (c != '\\')
                 throw JsonError("unescaped control character");
-            if (c != '\\') {
-                out.push_back(c);
-                continue;
-            }
             char esc = take();
             switch (esc) {
             case '"': out.push_back('"'); break;
@@ -396,9 +403,17 @@ class Parser
             ++pos_;
         if (pos_ == start)
             throw JsonError("invalid value");
-        std::string token(text_.substr(start, pos_ - start));
+        std::string_view view = text_.substr(start, pos_ - start);
+        const char *last = view.data() + view.size();
+        double value = 0.0;
+        auto [stop, ec] = std::from_chars(view.data(), last, value);
+        if (ec == std::errc{} && stop == last)
+            return Json::number(value);
+        // from_chars refuses a leading '+' and reports underflow as an
+        // error; strtod's verdict keeps both accepted (1e-400 reads 0).
+        std::string token(view);
         char *end = nullptr;
-        double value = std::strtod(token.c_str(), &end);
+        value = std::strtod(token.c_str(), &end);
         if (end == nullptr || *end != '\0' || !std::isfinite(value))
             throw JsonError("invalid number '" + token + "'");
         return Json::number(value);
@@ -409,10 +424,16 @@ class Parser
 };
 
 void
-dumpString(const std::string &s, std::string &out)
+dumpString(std::string_view s, std::string &out)
 {
     out.push_back('"');
-    for (char c : s) {
+    size_t run = 0; // first byte not yet copied
+    for (size_t i = 0; i < s.size(); ++i) {
+        char c = s[i];
+        if (!needsEscape(c))
+            continue;
+        out.append(s.substr(run, i - run));
+        run = i + 1;
         switch (c) {
         case '"': out += "\\\""; break;
         case '\\': out += "\\\\"; break;
@@ -421,27 +442,29 @@ dumpString(const std::string &s, std::string &out)
         case '\n': out += "\\n"; break;
         case '\r': out += "\\r"; break;
         case '\t': out += "\\t"; break;
-        default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x",
-                              static_cast<unsigned>(c) & 0xff);
-                out += buf;
-            } else {
-                out.push_back(c);
-            }
+        default: {
+            char buf[8];
+            std::snprintf(buf, sizeof(buf), "\\u%04x",
+                          static_cast<unsigned>(c) & 0xff);
+            out += buf;
+        }
         }
     }
+    out.append(s.substr(run));
     out.push_back('"');
 }
 
 void
 dumpNumber(double v, std::string &out)
 {
-    char buf[40];
-    // 17 significant digits: every finite IEEE double round-trips.
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    out += buf;
+    // 17 significant digits, the bytes of %.17g: every finite IEEE
+    // double round-trips.
+    char buf[32];
+    char *end =
+        std::to_chars(buf, buf + sizeof(buf), v,
+                      std::chars_format::general, 17)
+            .ptr;
+    out.append(buf, end);
 }
 
 void

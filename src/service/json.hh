@@ -2,10 +2,10 @@
  * @file
  * Minimal JSON value type for the vnoised wire protocol: parse,
  * serialize, and typed accessors. Deliberately small — numbers are
- * doubles (printed with 17 significant digits so every IEEE double
- * round-trips bit-exactly), objects preserve insertion order, and the
- * parser enforces a nesting-depth limit so hostile payloads cannot
- * blow the stack.
+ * doubles (printed with 17 significant digits, the bytes of %.17g, so
+ * every IEEE double round-trips bit-exactly), objects preserve
+ * insertion order, and the parser enforces a nesting-depth limit so
+ * hostile payloads cannot blow the stack.
  *
  * Errors are reported by throwing JsonError; the protocol layer maps
  * them to structured `malformed_frame` / `bad_request` responses.
@@ -18,7 +18,9 @@
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <utility>
+#include <variant>
 #include <vector>
 
 namespace vn::service
@@ -64,13 +66,13 @@ class Json
     /** Compact serialization (no whitespace). */
     std::string dump() const;
 
-    Type type() const { return type_; }
-    bool isNull() const { return type_ == Type::Null; }
-    bool isBool() const { return type_ == Type::Bool; }
-    bool isNumber() const { return type_ == Type::Number; }
-    bool isString() const { return type_ == Type::String; }
-    bool isArray() const { return type_ == Type::Array; }
-    bool isObject() const { return type_ == Type::Object; }
+    Type type() const { return static_cast<Type>(value_.index()); }
+    bool isNull() const { return type() == Type::Null; }
+    bool isBool() const { return type() == Type::Bool; }
+    bool isNumber() const { return type() == Type::Number; }
+    bool isString() const { return type() == Type::String; }
+    bool isArray() const { return type() == Type::Array; }
+    bool isObject() const { return type() == Type::Object; }
 
     /** Value accessors; throw JsonError on type mismatch. */
     bool asBool() const;
@@ -103,12 +105,18 @@ class Json
     const std::vector<std::pair<std::string, Json>> &members() const;
 
   private:
-    Type type_ = Type::Null;
-    bool bool_ = false;
-    double number_ = 0.0;
-    std::string string_;
-    std::vector<Json> items_;
-    std::vector<std::pair<std::string, Json>> members_;
+    using Items = std::vector<Json>;
+    using Members = std::vector<std::pair<std::string, Json>>;
+
+    // One alternative per Type, in Type's order, so a value is only as
+    // large as its largest payload (a string) plus the index.
+    std::variant<std::monostate, bool, double, std::string, Items, Members>
+        value_;
+    static_assert(
+        std::is_same_v<std::variant_alternative_t<
+                           static_cast<size_t>(Type::Object), decltype(value_)>,
+                       Members>,
+        "value_ alternatives follow Type");
 };
 
 } // namespace vn::service

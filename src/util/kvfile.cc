@@ -1,6 +1,7 @@
 #include "util/kvfile.hh"
 
 #include <cctype>
+#include <charconv>
 #include <fstream>
 #include <sstream>
 
@@ -12,66 +13,89 @@ namespace vn
 namespace
 {
 
-std::string
-trim(const std::string &s)
+bool
+isSpace(char c)
 {
-    size_t begin = 0;
-    size_t end = s.size();
-    while (begin < end && std::isspace(static_cast<unsigned char>(
-                              s[begin]))) {
-        ++begin;
-    }
-    while (end > begin && std::isspace(static_cast<unsigned char>(
-                              s[end - 1]))) {
-        --end;
-    }
-    return s.substr(begin, end - begin);
+    return std::isspace(static_cast<unsigned char>(c)) != 0;
 }
 
-} // namespace
-
-namespace
+std::string_view
+trim(std::string_view s)
 {
+    while (!s.empty() && isSpace(s.front()))
+        s.remove_prefix(1);
+    while (!s.empty() && isSpace(s.back()))
+        s.remove_suffix(1);
+    return s;
+}
 
-/** Shared parser; on failure `error` describes the offending line. */
+/**
+ * The number a value token spells, or nullopt. std::from_chars takes
+ * every token it consumes whole; the rest (a leading '+', hex floats,
+ * out-of-range exponents) get std::stod's verdict, so the accepted
+ * set is stod's, plus subnormals, whose underflow stod reports as
+ * out_of_range.
+ */
+std::optional<double>
+parseNumber(std::string_view token)
+{
+    const char *last = token.data() + token.size();
+    double value = 0.0;
+    auto [end, ec] = std::from_chars(token.data(), last, value);
+    if (ec == std::errc{} && end == last)
+        return value;
+    try {
+        std::string text(token);
+        size_t consumed = 0;
+        value = std::stod(text, &consumed);
+        if (consumed == text.size())
+            return value;
+    } catch (const std::exception &) {
+    }
+    return std::nullopt;
+}
+
+/**
+ * The one parser behind load(), tryLoad() and tryParse(), over text in
+ * memory; on failure `error` names `path` and the offending line.
+ */
 std::optional<KeyValueFile>
-parseStream(std::istream &in, const std::string &path, std::string &error)
+parseText(std::string_view text, const std::string &path,
+          std::string &error)
 {
     KeyValueFile kv;
-    std::string line;
     int line_no = 0;
-    while (std::getline(in, line)) {
+    while (!text.empty()) {
+        size_t newline = text.find('\n');
+        std::string_view line = text.substr(0, newline);
+        text.remove_prefix(newline == std::string_view::npos
+                               ? text.size()
+                               : newline + 1);
         ++line_no;
-        auto hash = line.find('#');
-        if (hash != std::string::npos)
-            line = line.substr(0, hash);
-        line = trim(line);
+        line = trim(line.substr(0, line.find('#')));
         if (line.empty())
             continue;
         auto eq = line.find('=');
-        if (eq == std::string::npos) {
+        if (eq == std::string_view::npos) {
             error = "'" + path + "' line " + std::to_string(line_no) +
                     ": expected 'key = value'";
             return std::nullopt;
         }
-        std::string key = trim(line.substr(0, eq));
-        std::string value_text = trim(line.substr(eq + 1));
+        std::string_view key = trim(line.substr(0, eq));
+        std::string_view value_text = trim(line.substr(eq + 1));
         if (key.empty() || value_text.empty()) {
             error = "'" + path + "' line " + std::to_string(line_no) +
                     ": empty key or value";
             return std::nullopt;
         }
-        try {
-            size_t consumed = 0;
-            double value = std::stod(value_text, &consumed);
-            if (consumed != value_text.size())
-                throw std::invalid_argument("trailing junk");
-            kv.set(key, value);
-        } catch (const std::exception &) {
+        std::optional<double> value = parseNumber(value_text);
+        if (!value) {
             error = "'" + path + "' line " + std::to_string(line_no) +
-                    ": cannot parse number '" + value_text + "'";
+                    ": cannot parse number '" + std::string(value_text) +
+                    "'";
             return std::nullopt;
         }
+        kv.set(std::string(key), *value);
     }
     return kv;
 }
@@ -79,12 +103,14 @@ parseStream(std::istream &in, const std::string &path, std::string &error)
 std::optional<KeyValueFile>
 parseFile(const std::string &path, std::string &error)
 {
-    std::ifstream ifs(path);
+    std::ifstream ifs(path, std::ios::binary);
     if (!ifs) {
         error = "cannot open '" + path + "'";
         return std::nullopt;
     }
-    return parseStream(ifs, path, error);
+    std::ostringstream text;
+    text << ifs.rdbuf();
+    return parseText(text.view(), path, error);
 }
 
 } // namespace
@@ -96,7 +122,7 @@ KeyValueFile::load(const std::string &path)
     auto kv = parseFile(path, error);
     if (!kv)
         fatal("KeyValueFile: ", error);
-    return *kv;
+    return std::move(*kv);
 }
 
 std::optional<KeyValueFile>
@@ -107,21 +133,27 @@ KeyValueFile::tryLoad(const std::string &path)
 }
 
 std::optional<KeyValueFile>
-KeyValueFile::tryParse(const std::string &text)
+KeyValueFile::tryParse(std::string_view text)
 {
-    std::istringstream iss(text);
     std::string error;
-    return parseStream(iss, "<memory>", error);
+    return parseText(text, "<memory>", error);
 }
 
 std::string
 KeyValueFile::serialize() const
 {
-    std::ostringstream oss;
-    oss.precision(17);
-    for (const auto &[key, value] : values_)
-        oss << key << " = " << value << "\n";
-    return oss.str();
+    std::string out;
+    char number[32];
+    for (const auto &[key, value] : values_) {
+        // Precision 17, general format: the bytes of printf's %.17g
+        // (and of an ostream at precision 17), so every double
+        // round-trips and existing entries keep their content.
+        char *end = std::to_chars(number, number + sizeof(number), value,
+                                  std::chars_format::general, 17)
+                        .ptr;
+        out.append(key).append(" = ").append(number, end).push_back('\n');
+    }
+    return out;
 }
 
 void
@@ -139,7 +171,8 @@ KeyValueFile::save(const std::string &path,
 void
 KeyValueFile::set(const std::string &key, double value)
 {
-    values_[key] = value;
+    // End hint: parsed text and most builders arrive in key order.
+    values_.insert_or_assign(values_.end(), key, value);
 }
 
 bool

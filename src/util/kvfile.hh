@@ -5,7 +5,13 @@
  * Format: one `key = number` pair per line; '#' starts a comment;
  * blank lines ignored. Keys are dotted paths ("pdn.c_l3"). Used to
  * persist chip configurations so experiments are reproducible outside
- * the compiled defaults.
+ * the compiled defaults, and as the payload of result-cache entries.
+ *
+ * Numbers are written as printf's %.17g would write them and read
+ * with std::from_chars, falling back to std::stod's rule for a token
+ * from_chars does not consume whole (a leading '+', hex floats). Every
+ * double but a NaN, subnormals included, reads back bit for bit; a
+ * NaN reads back as a NaN.
  */
 
 #ifndef VN_UTIL_KVFILE_HH
@@ -14,6 +20,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 
 namespace vn
 {
@@ -40,7 +47,7 @@ class KeyValueFile
      * which reads and checksum-verifies a framed entry before handing
      * the payload here.
      */
-    static std::optional<KeyValueFile> tryParse(const std::string &text);
+    static std::optional<KeyValueFile> tryParse(std::string_view text);
 
     /** Write all pairs, sorted by key. */
     void save(const std::string &path,

@@ -11,10 +11,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <chrono>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <optional>
 #include <string>
@@ -186,6 +188,25 @@ TEST(CacheFraming, IntactFrameWithUnparsablePayloadIsACountedMiss)
     EXPECT_EQ(reopened.counters().corrupt, 1u);
 }
 
+TEST(CacheFraming, SubnormalFieldLoadsAsAHit)
+{
+    // A result field can be subnormal (%.17g writes 1e-310 as
+    // 9.9999999999999694e-311); its entry must load as a hit, not as
+    // a corrupt miss recomputed on every run.
+    ScratchDir dir("subnormal");
+    ResultCache cache(dir.path());
+    vn::KeyValueFile kv = sampleEntry();
+    kv.set("tiny", 1e-310);
+    kv.set("tiniest", std::numeric_limits<double>::denorm_min());
+    ASSERT_TRUE(cache.store(11, kv));
+    auto loaded = cache.load(11);
+    ASSERT_TRUE(loaded.has_value());
+    EXPECT_EQ(loaded->serialize(), kv.serialize());
+    EXPECT_EQ(std::bit_cast<uint64_t>(loaded->require("tiny")),
+              std::bit_cast<uint64_t>(1e-310));
+    EXPECT_EQ(cache.counters().corrupt, 0u);
+}
+
 TEST(CacheFraming, TruncatedTextBlobIsACountedMiss)
 {
     // Regression: loadText() on a torn blob must be a counted miss,
@@ -296,6 +317,29 @@ TEST(CacheScrub, OpenTimeReapIsAgeGated)
     EXPECT_TRUE(std::filesystem::exists(fresh));
     EXPECT_FALSE(std::filesystem::exists(stale));
     EXPECT_EQ(cache.counters().tmp_reaped, 1u);
+}
+
+TEST(CacheScrub, OpenTimeReapRunsOncePerDirectoryPerProcess)
+{
+    // Campaigns open a cache per collect(); only the first open of a
+    // directory in a process walks it for stale temp files.
+    ScratchDir dir("reap_once");
+    bool was_quiet = vn::setQuiet(true);
+    ResultCache first(dir.path());
+    auto stale = std::filesystem::path(dir.path()) / "cc.kv.tmp3";
+    writeFile(stale, "crashed writer's temp");
+    std::filesystem::last_write_time(
+        stale, std::filesystem::file_time_type::clock::now() -
+                   std::chrono::hours(1));
+    ResultCache second(dir.path());
+    vn::setQuiet(was_quiet);
+    EXPECT_TRUE(std::filesystem::exists(stale));
+    EXPECT_EQ(second.counters().tmp_reaped, 0u);
+
+    // scrub() still reaps whatever the open skipped.
+    ScrubReport report = second.scrub();
+    EXPECT_EQ(report.tmp_reaped, 1u);
+    EXPECT_FALSE(std::filesystem::exists(stale));
 }
 
 // ---------------------------------------------------------------------

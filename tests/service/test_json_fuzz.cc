@@ -11,6 +11,9 @@
  *     else. (The daemon feeds attacker-controlled frames into it.)
  *  3. The nesting-depth limit triggers exactly at the documented
  *     boundary: kMaxDepth levels parse, kMaxDepth + 1 throw.
+ *  4. The bytes stay those of the original formatter and parser: a
+ *     number dumps as printf's %.17g, and a number token parses to
+ *     exactly what strtod makes of it (or throws, as it did).
  *
  * Everything draws from vn::Rng with fixed seeds, so a failure
  * reproduces deterministically on every platform.
@@ -21,6 +24,8 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <iterator>
 #include <limits>
 #include <string>
@@ -83,6 +88,83 @@ TEST(JsonFuzz, RandomDoublesRoundTripBitIdentically)
     }
     // ~2 in 1024 patterns are Inf/NaN; the sweep must not degenerate.
     EXPECT_GT(tested, 19000);
+}
+
+std::string
+printf17g(double v)
+{
+    char buf[40];
+    std::snprintf(buf, sizeof(buf), "%.17g", v);
+    return buf;
+}
+
+TEST(JsonFuzz, NumbersDumpAsPrintf17g)
+{
+    // The wire bytes of a number are %.17g's, whatever formats them.
+    const double corners[] = {
+        0.0,
+        -0.0,
+        0.1,
+        1.0 / 3.0,
+        2.4e6,
+        1e21,
+        1e-7,
+        123456789012345680.0,
+        std::numeric_limits<double>::min(),
+        std::numeric_limits<double>::max(),
+        std::numeric_limits<double>::denorm_min(),
+        -std::numeric_limits<double>::denorm_min(),
+        1e-310,
+        std::numeric_limits<double>::infinity(),
+        -std::numeric_limits<double>::infinity(),
+        std::numeric_limits<double>::quiet_NaN(),
+        -std::numeric_limits<double>::quiet_NaN(),
+    };
+    for (double v : corners)
+        EXPECT_EQ(Json::number(v).dump(), printf17g(v)) << v;
+    Rng rng(0x17917eull);
+    for (int i = 0; i < 20000; ++i) {
+        double v = std::bit_cast<double>(rng.next());
+        ASSERT_EQ(Json::number(v).dump(), printf17g(v))
+            << "iteration " << i;
+    }
+}
+
+TEST(JsonFuzz, NumberTokensParseAsStrtod)
+{
+    // Tokens strtod has always decided: a leading '+', an underflow to
+    // zero, bare fractions, leading zeros and negative zero.
+    const char *tokens[] = {"+1", "1e-400", "-1e-400", ".5", "1.", "01",
+                            "-0", "5e-324", "1e-310", "+0.25e+2"};
+    for (const char *token : tokens) {
+        Json parsed = Json::parse(token);
+        EXPECT_EQ(bitsOf(parsed.asNumber()),
+                  bitsOf(std::strtod(token, nullptr)))
+            << token;
+    }
+    const char *rejected[] = {"1e400", "-1e400", "--1", "1-2", "1e",
+                              "-",     "+",      ".",   "1.2.3"};
+    for (const char *token : rejected)
+        EXPECT_THROW(Json::parse(token), JsonError) << token;
+}
+
+TEST(JsonFuzz, StringsWithLongPlainRunsRoundTrip)
+{
+    // dump()/parse() copy escape-free runs whole; runs of every length
+    // around each escape must come back byte for byte.
+    std::string text;
+    const char specials[] = {'"', '\\', '\n', '\x01', '\x1f', '/'};
+    for (size_t run = 0; run < 40; ++run) {
+        text.append(run, static_cast<char>('a' + run % 26));
+        text.push_back(specials[run % sizeof(specials)]);
+    }
+    text.append("\xc3\xa9 tail");
+    std::string dumped = Json::str(text).dump();
+    EXPECT_EQ(Json::parse(dumped).asString(), text);
+    EXPECT_NE(dumped.find("\\u0001"), std::string::npos);
+    EXPECT_NE(dumped.find("\\u001f"), std::string::npos);
+    EXPECT_THROW(Json::parse("\"abc\ndef\""), JsonError);
+    EXPECT_THROW(Json::parse("\"abc"), JsonError);
 }
 
 /** A random document of bounded depth, scalars at the leaves. */
