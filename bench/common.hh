@@ -6,7 +6,7 @@
  *   --jobs N         worker threads for campaign loops (default 1, or
  *                    VNOISE_JOBS)
  *   --lanes K        solver lanes per batch job (default 8, or
- *                    VNOISE_LANES; 1 = scalar reference path, results
+ *                    VNOISE_LANES; 1 = one run per solve, results
  *                    are bit-identical either way)
  *   --cache-dir P    campaign result-cache directory (default
  *                    VNOISE_CACHE_DIR or "<out>/cache")

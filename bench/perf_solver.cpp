@@ -1,18 +1,19 @@
 /**
  * @file
  * google-benchmark microbenchmarks of the simulation substrate: PDN
- * transient stepping (scalar and lane-batched), AC solves, DC
+ * transient stepping (one lane and lane-batched), AC solves, DC
  * operating points, and factorization-cache hits. These bound the
  * wall-clock cost of every experiment harness.
  *
  * Besides the usual google-benchmark CLI, `--table[=OUT.json]` runs a
- * fixed scalar-vs-batched throughput comparison at K in {1, 4, 8, 16}
- * and (with a path) writes a machine-readable BENCH_solver.json for
+ * fixed one-lane-vs-batched throughput comparison at K in {1, 4, 8,
+ * 16} (its "scalar" row and JSON field are the one-lane solver) and
+ * (with a path) writes a machine-readable BENCH_solver.json for
  * the CI regression gate (scripts/bench_gate.py). The JSON includes
  * `calibration_ns` — the wall time of a fixed dependent-FMA reference
  * kernel — so the gate can compare machine-normalized ratios instead
  * of raw nanoseconds across runner generations. Table mode also
- * asserts that every batched lane reproduces the scalar solver
+ * asserts that every batched lane reproduces the one-lane solver
  * bit-for-bit before trusting the timings.
  */
 
@@ -195,7 +196,7 @@ calibrationNs()
     return elapsedNs(t0);
 }
 
-/** ns per step of the scalar solver over `steps` steps. */
+/** ns per step of the one-lane solver over `steps` steps. */
 double
 scalarNsPerStep(uint64_t steps)
 {
@@ -234,7 +235,7 @@ batchedNsPerLaneStep(size_t lanes, uint64_t steps)
 }
 
 /**
- * Every lane of a 16-lane batch must match a scalar solver fed the
+ * Every lane of a 16-lane batch must match a one-lane solver fed the
  * same stimulus bit-for-bit after 2000 steps. Returns false (and
  * complains) on any divergence — the gate must not bless timings from
  * a solver that broke determinism.

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 verification: build, run the full test suite, then build the
 # campaign runtime and serving-stack tests under ThreadSanitizer and
-# run them, replay the lane-batched solver bit-identity suite, replay
+# run them, replay the solver's lane-independence suite, replay
 # the faultnet determinism suite under two seeds, run the router
 # fleet fault replay, run the kill-resume campaign replay (SIGKILL
 # mid-flight, --resume, byte-identical artifacts) under two seeds, run
@@ -9,7 +9,8 @@
 # checks), and finish with the golden stdout digests of the fig7-fig15
 # and ext_* benches. This is the gate a change must pass before
 # merging.
-# (CI additionally runs the serving tests under ASan+UBSan; locally:
+# (CI additionally runs the serving tests, the kv parser's and the
+#  solver's under ASan+UBSan; locally:
 #  cmake --preset asan && cmake --build --preset asan &&
 #  ctest --preset asan.)
 #
@@ -73,10 +74,12 @@ TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_admission \
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_router \
     --gtest_filter='Ring.*:Router.*'
 
-echo "== tier 3: lane-batched solver bit-identity =="
-# The batched transient solver must be byte-identical to the scalar
-# path for every netlist the chip model builds; a codegen or kernel
-# change that breaks this must fail loudly, not as a numeric drift.
+echo "== tier 3: transient solver lane independence =="
+# Every lane of a K-lane transient solver must be byte-identical to a
+# one-lane solve of its stimulus, and the sparse substitution to a
+# dense oracle, for every netlist the chip model builds; a codegen or
+# kernel change that breaks this must fail loudly, not as a numeric
+# drift.
 ./build/tests/test_batched
 
 echo "== tier 4: faultnet determinism under two seeds =="

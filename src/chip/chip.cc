@@ -111,7 +111,7 @@ ChipModel::ChipModel(ChipConfig config)
 
     // One LU factorization per (netlist content, dt), interned in the
     // process-wide cache and shared read-only by every run of this
-    // model — scalar or batched, serial or across worker threads.
+    // model — one lane or many, serial or across worker threads.
     fact_ = FactorizationCache::global().get(pdn_.netlist, config_.dt);
 }
 
@@ -149,72 +149,9 @@ ChipRunResult
 ChipModel::run(const std::array<CoreActivity, kNumCores> &workloads,
                double duration, const RunOptions &options) const
 {
-    if (!(duration > 0.0) || !std::isfinite(duration))
-        fatal("ChipModel::run(): duration must be finite and > 0, got ",
-              duration);
-
-    std::array<CoreActivity, kNumCores> activity = workloads;
-
-    // Voltage statistics of the cores and of the shared units (nest/L3,
-    // MCU, GX) from warmup on; the skitter readouts derive from them.
-    const std::array<NodeId, kNumSharedUnits> shared_nodes = {
-        pdn_.l3_node, pdn_.mcu_node, pdn_.gx_node};
-    std::array<RunningStats, kNumCores> vstats;
-    std::array<RunningStats, kNumSharedUnits> shared_vstats;
-
-    TransientSolver sim(fact_);
-
-    std::vector<double> currents(pdn_.portCount(), 0.0);
-    fillCurrents(activity, false, currents.data());
-    sim.initDcOperatingPoint(currents);
-
-    ChipRunResult result;
-    result.duration = duration;
-    if (options.capture_traces) {
-        result.traces.assign(
-            kNumCores,
-            Waveform(config_.dt *
-                     static_cast<double>(options.trace_decimation)));
-    }
-
-    PowerMeter meter;
-    unsigned trace_phase = 0;
-
-    const auto steps =
-        static_cast<uint64_t>(std::ceil(duration / config_.dt));
-    for (uint64_t k = 0; k < steps; ++k) {
-        fillCurrents(activity, true, currents.data());
-        sim.step(currents);
-        double t = sim.time();
-
-        for (int c = 0; c < kNumCores; ++c) {
-            double v = sim.nodeVoltage(pdn_.core_node[c]);
-            if (t >= options.warmup)
-                vstats[c].add(v);
-            if (!result.failed && critpath_.violates(v)) {
-                result.failed = true;
-                result.failure_time = t;
-                result.failing_core = c;
-            }
-            if (options.capture_traces && trace_phase == 0)
-                result.traces[c].push(v);
-        }
-        if (options.capture_traces &&
-            ++trace_phase == options.trace_decimation) {
-            trace_phase = 0;
-        }
-
-        if (t >= options.warmup) {
-            for (int u = 0; u < kNumSharedUnits; ++u)
-                shared_vstats[u].add(sim.nodeVoltage(shared_nodes[u]));
-        }
-
-        meter.sample(supply_, std::fabs(sim.sourceCurrent(0)));
-    }
-
-    fillReadouts(config_, vstats, shared_vstats, result);
-    result.avg_power_watts = meter.averageWatts();
-    return result;
+    std::vector<ChipRunResult> results =
+        runBatch(std::span(&workloads, 1), duration, options);
+    return std::move(results.front());
 }
 
 std::vector<ChipRunResult>
@@ -232,10 +169,12 @@ ChipModel::runBatch(
     std::vector<std::array<CoreActivity, kNumCores>> activity(
         workloads.begin(), workloads.end());
 
-    // Per-lane measurement state, mirroring run() exactly. Lanes never
-    // mix arithmetically: each samples its own voltages into its own
-    // stats/meter, so lane results are bit-identical to a scalar run
-    // of the same workloads.
+    // Per-lane measurement state. Lanes never mix arithmetically: each
+    // samples its own voltages into its own stats/meter, so lane
+    // results are bit-identical to a one-lane run of the same
+    // workloads. Voltage statistics of the cores and of the shared
+    // units (nest/L3, MCU, GX) run from warmup on; the skitter
+    // readouts derive from them.
     struct LaneState
     {
         std::array<RunningStats, kNumCores> vstats;
@@ -247,7 +186,7 @@ ChipModel::runBatch(
     const std::array<NodeId, kNumSharedUnits> shared_nodes = {
         pdn_.l3_node, pdn_.mcu_node, pdn_.gx_node};
 
-    BatchedTransientSolver sim(fact_, lanes);
+    TransientSolver sim(fact_, lanes);
 
     const size_t num_ports = pdn_.portCount();
     std::vector<double> currents(num_ports * lanes, 0.0);
@@ -350,7 +289,7 @@ ChipModel::scanFailures(const std::array<CoreActivity, kNumCores> &workloads,
                         currents.data() + k * num_ports);
     };
 
-    BatchedTransientSolver sim(fact_, lanes);
+    TransientSolver sim(fact_, lanes);
     fill_currents(false);
     sim.initDcOperatingPoint(currents, supplies);
 

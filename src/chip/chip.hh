@@ -21,7 +21,6 @@
 
 #include "chip/activity.hh"
 #include "chip/variation.hh"
-#include "circuit/batched.hh"
 #include "circuit/transient.hh"
 #include "circuit/waveform.hh"
 #include "measure/critpath.hh"
@@ -142,7 +141,7 @@ class ChipModel
     /**
      * Co-simulate the chip for `duration` seconds with one activity
      * generator per core (copies are taken; generators always start at
-     * t = 0 of the run).
+     * t = 0 of the run). This is runBatch() of one lane.
      */
     ChipRunResult run(const std::array<CoreActivity, kNumCores> &workloads,
                       double duration,
@@ -150,10 +149,11 @@ class ChipModel
 
     /**
      * Co-simulate many independent workload sets (lanes) in one pass
-     * over the shared factorization. Result i is bit-identical to
+     * over the shared factorization; this is the chip's one
+     * measurement loop. Result i is bit-identical to
      * `run(workloads[i], duration, options)` — lanes never mix
      * arithmetically, so the campaign cache and figure pipelines can
-     * treat batched and scalar runs interchangeably.
+     * treat a result the same whatever batch computed it.
      */
     std::vector<ChipRunResult>
     runBatch(std::span<const std::array<CoreActivity, kNumCores>> workloads,

@@ -1,17 +1,37 @@
 /**
  * @file
  * Time-domain simulation of a Netlist via modified nodal analysis with
- * trapezoidal companion models.
+ * trapezoidal companion models, for K same-topology stimuli (lanes) at
+ * once.
  *
  * The system matrix depends only on the netlist and the time step, so
  * it is LU-factorized once — in a shared `Factorization` interned by
  * the process-wide `FactorizationCache`, so a campaign of thousands of
  * jobs over one chip config factorizes once, not once per job. Each
- * step rebuilds the right-hand side from the reactive-element state
+ * step rebuilds the right-hand sides from the reactive-element state
  * and the externally supplied port currents and performs a single
- * forward/back substitution. This makes million-step noise
- * co-simulations cheap; `BatchedTransientSolver` (batched.hh) amortizes
- * the substitution itself over K stimuli.
+ * forward/back substitution of all K lanes. This makes million-step
+ * noise co-simulations cheap, and K lanes amortize the substitution
+ * itself: each non-zero factor entry is loaded once per step for all
+ * of them, so a 1000-seed campaign becomes ~1000/K substitution
+ * sweeps. One lane is the default and the common case.
+ *
+ * State vectors are stored structure-of-arrays — element (i, k) of
+ * unknown/reactive-element i and lane k lives at index `i * lanes + k`
+ * — so the innermost loop of every kernel (right-hand-side assembly,
+ * forward/back substitution, companion-state update) runs over
+ * contiguous lanes, and the substitution kernel vectorizes it.
+ *
+ * Determinism contract: lanes never mix arithmetically, and every lane
+ * executes the same operation sequence whatever the lane count (the
+ * same stamp order, the same factor entries in the same order), so
+ * lane k of a K-lane solver is bit-identical to a one-lane solver fed
+ * lane k's stimulus. The substitution skips exactly the factor's zero
+ * entries, which leaves it bit-identical to dense substitution too
+ * unless a running sum is exactly -0.0 or a solution entry is not
+ * finite (see LuSolver). tests/circuit/test_batched.cc enforces this
+ * byte-for-byte; it is what lets lane-batched campaigns share cache
+ * entries and wire responses with one-lane runs.
  *
  * Unknown ordering: node voltages (ground excluded), then voltage-source
  * branch currents, then inductor branch currents.
@@ -26,17 +46,37 @@
 
 #include "circuit/factorization.hh"
 #include "circuit/netlist.hh"
-#include "util/matrix.hh"
 
 namespace vn
 {
 
 /**
- * Trapezoidal-rule transient solver over a fixed time step.
+ * Trapezoidal-rule transient solver over a fixed time step, advancing
+ * K independent stimulus lanes per step over one shared factorization.
+ *
+ * Port currents are passed lane-major: entry `lane * portCount() + p`
+ * is lane `lane`'s current into port p, so each lane's producer fills
+ * a contiguous slice (with one lane, simply one entry per PortId).
+ * Voltage-source values are per-lane stimulus too, passed the same way
+ * (entry `lane * S + s` for the netlist's S sources); the system
+ * matrix holds no source value, so lanes at different supplies still
+ * share one factorization. Omitting them gives every lane the
+ * netlist's values.
  */
 class TransientSolver
 {
   public:
+    /**
+     * Build the solver on a shared factorization (from
+     * FactorizationCache, or one the campaign engine fetched once and
+     * handed to every job).
+     *
+     * @param fact  shared factorization
+     * @param lanes number of stimulus lanes K (>= 1)
+     */
+    explicit TransientSolver(std::shared_ptr<const Factorization> fact,
+                             size_t lanes = 1);
+
     /**
      * Build the solver for a netlist at the given step size. The
      * factorization is fetched from (or added to) the process-wide
@@ -45,31 +85,17 @@ class TransientSolver
      *
      * @param netlist network to simulate
      * @param dt      integration step in seconds (> 0)
+     * @param lanes   number of stimulus lanes K (>= 1)
      */
-    TransientSolver(const Netlist &netlist, double dt);
+    TransientSolver(const Netlist &netlist, double dt, size_t lanes = 1);
 
-    /**
-     * Build the solver on an explicitly shared factorization (e.g. one
-     * the campaign engine fetched once and handed to every job).
-     */
-    explicit TransientSolver(std::shared_ptr<const Factorization> fact);
+    /** Number of stimulus lanes K. */
+    size_t lanes() const { return lanes_; }
 
-    /**
-     * Initialize all states from the DC operating point with the given
-     * port currents (capacitors open, inductors shorted). Resets time
-     * to zero. Call before the first step(); starting from an exact
-     * operating point avoids a spurious start-up transient.
-     */
-    void initDcOperatingPoint(std::span<const double> port_currents);
+    /** Ports per lane. */
+    size_t portCount() const { return fact_->netlist().ports().size(); }
 
-    /**
-     * Advance one time step with the given per-port load currents
-     * (amperes, one entry per PortId, treated as constant across the
-     * step).
-     */
-    void step(std::span<const double> port_currents);
-
-    /** Current simulation time in seconds. */
+    /** Current simulation time in seconds (shared by all lanes). */
     double time() const { return time_; }
 
     /** Integration step. */
@@ -82,36 +108,68 @@ class TransientSolver
         return fact_;
     }
 
-    /** Voltage of a node at the current time. */
+    /**
+     * Initialize every lane from its DC operating point (capacitors
+     * open, inductors shorted). `port_currents` is lane-major with
+     * lanes() * portCount() entries; `source_volts`, when given, is
+     * lane-major with lanes() * S entries. Resets time to zero. Call
+     * before the first step(); starting from an exact operating point
+     * avoids a spurious start-up transient.
+     */
+    void initDcOperatingPoint(std::span<const double> port_currents,
+                              std::span<const double> source_volts = {});
+
+    /**
+     * Advance all lanes one time step. `port_currents` (amperes) is
+     * lane-major with lanes() * portCount() entries and `source_volts`,
+     * when given, with lanes() * S entries; both are treated as
+     * constant across the step.
+     */
+    void step(std::span<const double> port_currents,
+              std::span<const double> source_volts = {});
+
+    /** Voltage of `node` in `lane` at the current time. */
+    double nodeVoltage(size_t lane, NodeId node) const;
+
+    /** Branch current of inductor index i (netlist order) in `lane`. */
+    double inductorCurrent(size_t lane, size_t i) const;
+
+    /** Branch current of voltage source index i (netlist order) in `lane`. */
+    double sourceCurrent(size_t lane, size_t i) const;
+
+    /** One-lane accessors: lane 0 of a one-lane solver (fatal on more). */
     double nodeVoltage(NodeId node) const;
-
-    /** Branch current of inductor index i (netlist order). */
     double inductorCurrent(size_t i) const;
-
-    /** Branch current of voltage source index i (netlist order). */
     double sourceCurrent(size_t i) const;
 
   private:
-    void initState();
-    void fillPortCurrents(std::span<const double> port_currents,
-                          std::vector<double> &rhs) const;
+    /** step() over `FixedLanes` lanes, or lanes() when it is 0. */
+    template <size_t FixedLanes>
+    void advance(std::span<const double> port_currents,
+                 std::span<const double> source_volts);
+
+    void checkLane(size_t lane, const char *context) const;
+    void checkOneLane(const char *context) const;
 
     std::shared_ptr<const Factorization> fact_;
+    size_t lanes_;
     double time_ = 0.0;
 
-    // Solution vector of the latest step: node voltages, vsource branch
-    // currents, inductor branch currents.
+    // All SoA, [element * lanes_ + lane]. `solution_` holds the latest
+    // step's node voltages, vsource branch currents and inductor
+    // branch currents; the reactive-element state is carried between
+    // steps; `rhs_` is scratch.
     std::vector<double> solution_;
-
-    // Reactive-element state carried between steps.
     std::vector<double> cap_voltage_;
     std::vector<double> cap_current_;
     std::vector<double> ind_current_;
     std::vector<double> ind_voltage_;
-
-    // Scratch buffers.
     std::vector<double> rhs_;
 };
+
+/** Another name for TransientSolver, used by code that drives it with
+ *  many lanes (bench/vnbench among it). */
+using BatchedTransientSolver = TransientSolver;
 
 } // namespace vn
 

@@ -21,9 +21,9 @@
  *
  * Jobs can also be queued as *lane batches* (submitBatch): one worker
  * advances K same-topology runs through a shared LU factorization at
- * once (circuit/batched.hh). Every lane keeps its own key, derived
+ * once (circuit/transient.hh). Every lane keeps its own key, derived
  * seed and cache entry, so batching changes throughput only — results
- * and cache identity are bit-identical to scalar submission.
+ * and cache identity are bit-identical to one-lane submission.
  *
  * Counters (cache hits/misses, steals, retries, failures) accumulate
  * into a CampaignStats that harnesses print alongside their tables.
@@ -86,8 +86,8 @@ struct CampaignOptions
      * Stimulus lanes per batch job for harnesses that use
      * submitBatch() — how many same-topology runs a worker advances
      * through one shared LU factorization at a time. 1 disables
-     * batching (the scalar reference path). Results are bit-identical
-     * for every value; this is purely a throughput knob.
+     * batching (every run is a one-lane solve). Results are
+     * bit-identical for every value; this is purely a throughput knob.
      */
     int lanes = 8;
 
@@ -196,7 +196,7 @@ class Campaign
     void
     submit(std::string key, JobFn fn)
     {
-        // A scalar job is a one-lane batch; both paths share the
+        // A single job is a one-lane batch; both share the
         // cache/retry/failure machinery in runJob().
         std::vector<std::string> keys;
         keys.push_back(std::move(key));

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <unordered_map>
 
 namespace vn::service
 {
@@ -164,6 +165,16 @@ Json::members() const
     throw JsonError("expected an object");
 }
 
+/** The parser's access to an object's member list. */
+struct JsonMembers
+{
+    static Json::Members &
+    of(Json &object)
+    {
+        return std::get<Json::Members>(object.value_);
+    }
+};
+
 namespace
 {
 
@@ -258,6 +269,9 @@ class Parser
         }
     }
 
+    /** Members parsed with set()'s scan before the rest are indexed. */
+    static constexpr size_t kScanMembers = 128;
+
     Json
     parseObject(int depth)
     {
@@ -268,19 +282,66 @@ class Parser
             ++pos_;
             return obj;
         }
-        while (true) {
-            skipSpace();
-            std::string key = parseString();
-            skipSpace();
-            expect(':');
+        for (size_t parsed = 1;; ++parsed) {
+            std::string key = parseKey();
             obj.set(key, parseValue(depth + 1));
-            skipSpace();
-            char c = take();
-            if (c == '}')
+            if (objectEnds())
                 return obj;
-            if (c != ',')
-                throw JsonError("expected ',' or '}' in object");
+            if (parsed == kScanMembers)
+                return parseLongObject(std::move(obj), depth);
         }
+    }
+
+    /**
+     * The rest of an object that has outgrown set()'s scan of every
+     * earlier member, which would make parsing quadratic in the member
+     * count. A key index (key -> position) keeps set()'s meaning for a
+     * repeated key: the last value, at the first occurrence's
+     * position. Kept out of line so short objects, the common case,
+     * carry no index.
+     */
+    [[gnu::noinline]] Json
+    parseLongObject(Json obj, int depth)
+    {
+        auto &members = JsonMembers::of(obj);
+        std::unordered_map<std::string, size_t> index;
+        for (size_t i = 0; i < members.size(); ++i)
+            index.emplace(members[i].first, i);
+        while (true) {
+            std::string key = parseKey();
+            Json value = parseValue(depth + 1);
+            auto [at, fresh] = index.try_emplace(key, members.size());
+            if (fresh)
+                members.emplace_back(std::move(key), std::move(value));
+            else
+                members[at->second].second = std::move(value);
+            if (objectEnds())
+                return obj;
+        }
+    }
+
+    /** An object member's key and the ':' after it. */
+    std::string
+    parseKey()
+    {
+        skipSpace();
+        std::string key = parseString();
+        skipSpace();
+        expect(':');
+        return key;
+    }
+
+    /** After a member: true at the object's '}', false at a ','. */
+    bool
+    objectEnds()
+    {
+        skipSpace();
+        char c = take();
+        if (c == '}')
+            return true;
+        if (c != ',')
+            throw JsonError("expected ',' or '}' in object");
+        return false;
     }
 
     Json

@@ -108,6 +108,9 @@ class Json
     using Items = std::vector<Json>;
     using Members = std::vector<std::pair<std::string, Json>>;
 
+    // The parser's (json.cc) access to an object's member list.
+    friend struct JsonMembers;
+
     // One alternative per Type, in Type's order, so a value is only as
     // large as its largest payload (a string) plus the index.
     std::variant<std::monostate, bool, double, std::string, Items, Members>

@@ -2,14 +2,14 @@
  * @file
  * Lane-batched LU substitution kernel (double field).
  *
- * The batched transient solver advances K same-topology stimuli as SoA
- * lanes and back-substitutes all K right-hand sides through one shared
- * factorization per step. This kernel is why that pays off: lanes are
- * processed in chunks whose trip count is a compile-time constant, so
- * the per-row running sums live in vector registers for the whole
- * substitution loop — the widened equivalent of the scalar solveInto()
- * `sum` variable — instead of bouncing through a store-to-load forward
- * on every factor entry.
+ * The transient solver advances K same-topology stimuli (one or more)
+ * as SoA lanes and back-substitutes all K right-hand sides through one
+ * shared factorization per step. This kernel is why that pays off:
+ * lanes are processed in chunks whose trip count is a compile-time
+ * constant, so the per-row running sums live in vector registers for
+ * the whole substitution loop — the widened equivalent of the scalar
+ * solveInto() `sum` variable — instead of bouncing through a
+ * store-to-load forward on every factor entry.
  *
  * Bit-identity contract: per lane this performs *exactly* the scalar
  * solveInto() operation sequence — the factor's non-zero entries of
@@ -91,10 +91,26 @@ solveChunk(const LuView &lu, const double *b, size_t lanes, size_t k0,
     }
 }
 
-/** Full-width chunks of 8 lanes, then one constant-width remainder. */
+/**
+ * Full-width chunks of 8 lanes, then one constant-width remainder. A
+ * batch that is one chunk (one lane included) passes its width as the
+ * lane stride and 0 as the offset, so once solveChunk is inlined both
+ * are constants too and every x[j] address is a plain scaled index.
+ */
 [[gnu::always_inline]] inline void
 solveAll(const LuView &lu, const double *b, size_t lanes, double *x)
 {
+    switch (lanes) {
+    case 1: solveChunk<1>(lu, b, 1, 0, x); return;
+    case 2: solveChunk<2>(lu, b, 2, 0, x); return;
+    case 3: solveChunk<3>(lu, b, 3, 0, x); return;
+    case 4: solveChunk<4>(lu, b, 4, 0, x); return;
+    case 5: solveChunk<5>(lu, b, 5, 0, x); return;
+    case 6: solveChunk<6>(lu, b, 6, 0, x); return;
+    case 7: solveChunk<7>(lu, b, 7, 0, x); return;
+    case 8: solveChunk<8>(lu, b, 8, 0, x); return;
+    default: break;
+    }
     size_t k0 = 0;
     for (; k0 + 8 <= lanes; k0 += 8)
         solveChunk<8>(lu, b, lanes, k0, x);

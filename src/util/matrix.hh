@@ -242,21 +242,21 @@ class LuSolver
     }
 
     /**
-     * Solve K right-hand sides laid out as SoA lanes: `b` and `x` hold
-     * `size() * lanes` entries where element (i, k) of unknown i and
-     * lane k lives at index `i * lanes + k`.
+     * Solve K right-hand sides laid out as SoA lanes (double only):
+     * `b` and `x` hold `size() * lanes` entries where element (i, k) of
+     * unknown i and lane k lives at index `i * lanes + k`.
      *
-     * Each lane performs *exactly* the scalar solveInto() operation
-     * sequence (the same non-zero entries in the same order), so lane
-     * k of the result is bit-identical to a scalar solve of lane k's
-     * right-hand side. The lane loop is innermost over contiguous
-     * memory, which lets the compiler vectorize and amortizes every
-     * factor load over all lanes — this is the kernel behind the
-     * batched transient solver.
+     * Each lane performs *exactly* the solveInto() operation sequence
+     * (the same non-zero entries in the same order), so lane k of the
+     * result is bit-identical to a solveInto() of lane k's right-hand
+     * side. The lane loop is innermost over contiguous memory, which
+     * lets the compiler vectorize and amortizes every factor load over
+     * all lanes — this is the kernel behind the transient solver.
      */
     void
-    solveLanesInto(const std::vector<T> &b, size_t lanes,
-                   std::vector<T> &x) const
+    solveLanesInto(const std::vector<double> &b, size_t lanes,
+                   std::vector<double> &x) const
+        requires std::is_same_v<T, double>
     {
         if (!factorized_)
             panic("LuSolver::solveLanesInto() before factorize()");
@@ -267,44 +267,9 @@ class LuSolver
                   " does not match ", n_, " unknowns x ", lanes,
                   " lanes");
         x.resize(n_ * lanes);
-        if constexpr (std::is_same_v<T, double>) {
-            // Hot path: out-of-line kernel whose lane chunks have
-            // compile-time trip counts, so the per-row running sums
-            // stay in vector registers across the whole row (the
-            // scalar `sum` variable, widened to a lane chunk).
-            detail::solveLanesDouble(
-                {n_, perm_.data(), &lower_, &upper_, diag_.data()},
-                b.data(), lanes, x.data());
-            return;
-        }
-        // Generic field (complex AC analysis): plain lane loop, same
-        // per-lane operation sequence as solveInto().
-        for (size_t i = 0; i < n_; ++i) {
-            const T *bp = &b[perm_[i] * lanes];
-            T *xi = &x[i * lanes];
-            for (size_t k = 0; k < lanes; ++k)
-                xi[k] = bp[k];
-            for (size_t p = lower_.start[i]; p < lower_.start[i + 1];
-                 ++p) {
-                const T factor = lower_.value[p];
-                const T *xj = &x[lower_.col[p] * lanes];
-                for (size_t k = 0; k < lanes; ++k)
-                    xi[k] -= factor * xj[k];
-            }
-        }
-        for (size_t ii = n_; ii-- > 0;) {
-            T *xi = &x[ii * lanes];
-            for (size_t p = upper_.start[ii]; p < upper_.start[ii + 1];
-                 ++p) {
-                const T factor = upper_.value[p];
-                const T *xj = &x[upper_.col[p] * lanes];
-                for (size_t k = 0; k < lanes; ++k)
-                    xi[k] -= factor * xj[k];
-            }
-            const T diag = diag_[ii];
-            for (size_t k = 0; k < lanes; ++k)
-                xi[k] /= diag;
-        }
+        detail::solveLanesDouble(
+            {n_, perm_.data(), &lower_, &upper_, diag_.data()}, b.data(),
+            lanes, x.data());
     }
 
     /** System size. */

@@ -40,7 +40,6 @@
 #include "chip/variation.hh"
 #include "chip/vmin.hh"
 #include "circuit/ac.hh"
-#include "circuit/batched.hh"
 #include "circuit/factorization.hh"
 #include "circuit/netlist.hh"
 #include "circuit/transient.hh"

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <cstring>
 #include <limits>
 #include <string>
@@ -16,6 +17,7 @@
 
 #include "chip/chip.hh"
 #include "chip/vmin.hh"
+#include "runtime/hash.hh"
 #include "util/logging.hh"
 
 namespace
@@ -513,6 +515,76 @@ TEST(ChipModelTest, SkitterReadoutMatchesPerSampleReplay)
         // The windows cross latch boundaries, so the check has teeth.
         EXPECT_GT(noisy, 6);
     }
+}
+
+/**
+ * FNV-1a of every field of a run result, each printed at %.17g (so
+ * the digest moves with any bit of any double): every core's and
+ * shared unit's readout, the power, the R-Unit verdict, the duration
+ * and every sample of every trace.
+ */
+uint64_t
+resultDigest(const vn::ChipRunResult &r)
+{
+    uint64_t h = vn::runtime::kFnvOffset;
+    auto add = [&h](double v) {
+        char text[32];
+        std::snprintf(text, sizeof text, "%.17g;", v);
+        h = vn::runtime::fnv1aAppend(h, text);
+    };
+    auto add_unit = [&](const vn::CoreRunResult &u) {
+        add(u.p2p);
+        add(u.min_latch);
+        add(u.max_latch);
+        add(u.v_min);
+        add(u.v_max);
+        add(u.v_mean);
+    };
+    for (const auto &c : r.core)
+        add_unit(c);
+    for (const auto &u : r.shared)
+        add_unit(u);
+    add(r.avg_power_watts);
+    add(r.failed ? 1.0 : 0.0);
+    add(r.failure_time);
+    add(r.failing_core);
+    add(r.duration);
+    add(static_cast<double>(r.traces.size()));
+    for (const auto &trace : r.traces) {
+        add(trace.dt());
+        add(static_cast<double>(trace.size()));
+        for (size_t i = 0; i < trace.size(); ++i)
+            add(trace[i]);
+    }
+    return h;
+}
+
+TEST(ChipModelTest, RunResultsMatchGoldenDigests)
+{
+    // Full-precision goldens of run(), pinned from the output of the
+    // model before run() became a one-lane runBatch(): any change to
+    // the solver, the chip loop or the readouts that moves one bit of
+    // one field fails here.
+    vn::ChipModel chip;
+    auto idle = chip.run(allCores(chip.idleActivity()), 10e-6);
+    EXPECT_EQ(resultDigest(idle), 0x16545abfa1efd56dull)
+        << std::hex << resultDigest(idle);
+
+    vn::RunOptions traced;
+    traced.capture_traces = true;
+    traced.trace_decimation = 3;
+    auto synced = chip.run(allCores(squareWave(2.6e6, true)), 6e-6, traced);
+    ASSERT_EQ(synced.traces.size(), static_cast<size_t>(vn::kNumCores));
+    EXPECT_EQ(resultDigest(synced), 0x52c3e69b9c9e5b2bull)
+        << std::hex << resultDigest(synced);
+
+    vn::ChipConfig config;
+    config.bias = 0.10;
+    vn::ChipModel biased(config);
+    auto failing = biased.run(allCores(squareWave(2.6e6, true)), 20e-6);
+    ASSERT_TRUE(failing.failed);
+    EXPECT_EQ(resultDigest(failing), 0x58070755771538adull)
+        << std::hex << resultDigest(failing);
 }
 
 } // namespace

@@ -1,19 +1,22 @@
 /**
  * @file
- * Bit-identity and sharing tests of the batched solver path.
+ * Lane-independence and sharing tests of the transient solver.
  *
- * The whole campaign-batching design rests on one claim: a lane of
- * BatchedTransientSolver executes exactly the scalar TransientSolver
- * operation sequence, so batched results are byte-identical to scalar
- * ones and the two paths can share cache entries. These tests enforce
- * the claim byte-for-byte (memcmp on doubles, never EXPECT_NEAR) over
- * long transients, on every netlist the chip model builds, with
- * per-lane source values, and at the ChipModel::runBatch and
+ * The whole campaign-batching design rests on one claim: lanes never
+ * mix, so lane k of a K-lane TransientSolver is byte-identical to a
+ * one-lane solver fed lane k's stimulus, and results can share cache
+ * entries whatever batch computed them. These tests enforce the claim
+ * byte-for-byte (memcmp on doubles, never EXPECT_NEAR) over long
+ * transients, on every netlist the chip model builds, with per-lane
+ * source values, and at the ChipModel::runBatch and
  * ChipModel::scanFailures level.
  *
- * Both paths walk the same sparse factor rows, so they are also checked
- * against a test-local copy of dense substitution (every (i, j), no
- * skips): SparseLuOracleTest.
+ * One lane and many share the solver, so what checks the arithmetic
+ * itself is a test-local copy of dense substitution (every (i, j), no
+ * skips) that LuSolver's sparse rows, one lane and many, must match:
+ * SparseLuOracleTest. (tests/circuit/test_transient.cc checks the
+ * solver against closed-form RC/RLC responses, and
+ * test_crossvalidation.cc against the AC analysis.)
  *
  * FactorizationCacheTest.ConcurrentGetInternsOnePointer doubles as the
  * ThreadSanitizer target for the cache's locking (scripts/check.sh
@@ -32,7 +35,6 @@
 
 #include "analysis/scaling.hh"
 #include "chip/chip.hh"
-#include "circuit/batched.hh"
 #include "circuit/factorization.hh"
 #include "circuit/netlist.hh"
 #include "circuit/transient.hh"
@@ -79,12 +81,12 @@ makeLadder(double volts = 1.1)
 }
 
 /**
- * Drive `lanes` scalar solvers and one batched solver with identical
- * per-lane stimuli for `steps` steps and require byte-identical state
- * at every observation point. With `lane_nets` (one per lane, the same
- * circuit as `net` up to voltage-source values), scalar lane k runs on
- * lane_nets[k] and the batched solver on `net` takes lane k's source
- * values from it.
+ * Drive `lanes` one-lane solvers and one `lanes`-lane solver with
+ * identical per-lane stimuli for `steps` steps and require
+ * byte-identical state at every observation point. With `lane_nets`
+ * (one per lane, the same circuit as `net` up to voltage-source
+ * values), one-lane solver k runs on lane_nets[k] and the batched
+ * solver on `net` takes lane k's source values from it.
  */
 void
 expectLanesMatchScalar(const vn::Netlist &net, double dt, size_t lanes,
@@ -456,11 +458,6 @@ TEST(BatchedBitIdentityTest, LadderLanesMatchScalarLongTransient)
     expectLanesMatchScalar(makeLadder(), 1e-9, 5, 5000);
 }
 
-TEST(BatchedBitIdentityTest, SingleLaneDegeneratesToScalar)
-{
-    expectLanesMatchScalar(makeLadder(), 2e-9, 1, 1500);
-}
-
 TEST(BatchedBitIdentityTest, EveryChipModelNetlistMatches)
 {
     // Every netlist the chip model builds: default config, scaled PDN,
@@ -756,6 +753,10 @@ TEST(BatchedTransientSolverTest, RejectsBadArguments)
     std::vector<double> one_supply = {1.0}; // 2 lanes x 1 source needed
     EXPECT_THROW(sim.step(loads, one_supply), vn::FatalError);
     EXPECT_THROW(sim.nodeVoltage(2, 1), vn::FatalError);
+    // The one-lane accessors refuse a wider solver.
+    EXPECT_THROW(sim.nodeVoltage(1), vn::FatalError);
+    EXPECT_THROW(sim.inductorCurrent(0), vn::FatalError);
+    EXPECT_THROW(sim.sourceCurrent(0), vn::FatalError);
     vn::setThrowOnError(prev);
 }
 
