@@ -47,6 +47,10 @@ TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_durability
 # and then read them lock-free while stepping.
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_batched \
     --gtest_filter='FactorizationCacheTest.ConcurrentGetInternsOnePointer'
+# The framed read loop and request decoder under vnoised and
+# vnoise_router run on every connection's reader thread; the whole
+# binary is kit-free.
+TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_protocol
 # The HTTP conformance net exercises the threaded gateway; the metrics
 # test is excluded here because it builds a stressmark kit (that path
 # is covered by the default-preset run above).

@@ -286,98 +286,44 @@ void
 Router::handleConnection(int fd)
 {
     Connection conn{fd};
-    std::string payload;
-    while (true) {
-        service::FrameStatus status = service::readFrame(
-            conn.fd, payload, config_.max_frame_bytes);
-        if (status == service::FrameStatus::Oversized) {
-            sendJson(conn,
-                     service::makeErrorResponse(
-                         Json(),
-                         WireError{"oversized_frame",
-                                   "frame exceeds " +
-                                       std::to_string(
-                                           config_.max_frame_bytes) +
-                                       " bytes"}));
-            break;
-        }
-        if (status != service::FrameStatus::Ok)
-            break;
-
-        {
-            std::lock_guard<std::mutex> lock(counters_mutex_);
-            ++counters_.frames;
-        }
-        bool proceed = false;
-        try {
-            proceed = handleFrame(conn, payload);
-        } catch (const std::exception &e) {
-            sendJson(conn,
-                     service::makeErrorResponse(
-                         Json(),
-                         WireError{"internal_error", e.what()}));
-        }
-        if (!proceed)
-            break;
-    }
-    service::lingerBeforeClose(conn.fd);
+    service::serveFrames(
+        fd, config_.max_frame_bytes,
+        [this, &conn](const std::string &payload) {
+            return handleFrame(conn, payload);
+        },
+        [this, &conn](const Json &response) { sendJson(conn, response); });
 }
 
 bool
 Router::handleFrame(Connection &conn, const std::string &payload)
 {
     auto arrival = std::chrono::steady_clock::now();
-
-    Json request;
-    try {
-        request = Json::parse(payload);
-    } catch (const service::JsonError &e) {
+    {
+        std::lock_guard<std::mutex> lock(counters_mutex_);
+        ++counters_.frames;
+    }
+    std::variant<service::DecodedRequest, service::RejectedRequest>
+        decoded = service::decodeRequest(payload);
+    if (auto *rejected =
+            std::get_if<service::RejectedRequest>(&decoded)) {
+        const std::string &code = rejected->error.code;
+        uint64_t RouterCounters::*counter =
+            code == "malformed_frame" ? &RouterCounters::malformed
+            : code == "unknown_verb"  ? &RouterCounters::unknown_verbs
+                                      : &RouterCounters::bad_requests;
         {
             std::lock_guard<std::mutex> lock(counters_mutex_);
-            ++counters_.malformed;
+            ++(counters_.*counter);
         }
-        sendJson(conn,
-                 service::makeErrorResponse(
-                     Json(), WireError{"malformed_frame", e.what()}));
+        sendJson(conn, service::makeErrorResponse(rejected->id,
+                                                  rejected->error));
         return true;
     }
-    if (!request.isObject()) {
-        std::lock_guard<std::mutex> lock(counters_mutex_);
-        ++counters_.malformed;
-        sendJson(conn,
-                 service::makeErrorResponse(
-                     Json(),
-                     WireError{"malformed_frame",
-                               "request must be a JSON object"}));
-        return true;
-    }
+    service::DecodedRequest &request =
+        std::get<service::DecodedRequest>(decoded);
+    const Json &id = request.id;
 
-    Json id = request.has("id") ? request.at("id") : Json();
-
-    if (!request.has("verb") || !request.at("verb").isString()) {
-        std::lock_guard<std::mutex> lock(counters_mutex_);
-        ++counters_.bad_requests;
-        sendJson(conn,
-                 service::makeErrorResponse(
-                     id, WireError{"bad_request",
-                                   "missing string field 'verb'"}));
-        return true;
-    }
-    std::string verb_name = request.at("verb").asString();
-    std::optional<service::Verb> verb =
-        service::verbFromName(verb_name);
-    if (!verb) {
-        std::lock_guard<std::mutex> lock(counters_mutex_);
-        ++counters_.unknown_verbs;
-        sendJson(conn,
-                 service::makeErrorResponse(
-                     id, WireError{"unknown_verb",
-                                   "unknown verb '" + verb_name +
-                                       "'"}));
-        return true;
-    }
-
-    switch (*verb) {
+    switch (request.verb) {
     case service::Verb::Ping: {
         Json result = Json::object();
         result.set("pong", Json::boolean(true));
@@ -413,42 +359,13 @@ Router::handleFrame(Connection &conn, const std::string &payload)
         break;
     }
 
-    service::AnyRequest typed;
-    try {
-        Json params = request.has("params") ? request.at("params")
-                                            : Json::object();
-        typed = service::decodeRequestParams(*verb, params);
-    } catch (const service::JsonError &e) {
-        {
-            std::lock_guard<std::mutex> lock(counters_mutex_);
-            ++counters_.bad_requests;
-        }
-        sendJson(conn,
-                 service::makeErrorResponse(
-                     id, WireError{"bad_request", e.what()}));
-        return true;
-    }
-
-    if (request.has("deadline_ms")) {
-        const Json &raw = request.at("deadline_ms");
-        double ms = raw.isNumber() ? raw.asNumber() : -1.0;
-        if (!raw.isNumber() || !(ms >= 0) || ms > 3.6e6) {
-            std::lock_guard<std::mutex> lock(counters_mutex_);
-            ++counters_.bad_requests;
-            sendJson(conn,
-                     service::makeErrorResponse(
-                         id,
-                         WireError{
-                             "bad_request",
-                             "deadline_ms must be a number in "
-                             "[0, 3.6e6]"}));
-            return true;
-        }
+    if (request.deadline_ms) {
         // The router forwards synchronously (no queue), so the only
         // expiry it can observe itself is a deadline that was already
         // zero on arrival; anything longer is enforced upstream.
-        auto deadline = arrival + std::chrono::microseconds(
-                                      static_cast<int64_t>(ms * 1e3));
+        auto deadline =
+            arrival + std::chrono::microseconds(static_cast<int64_t>(
+                          *request.deadline_ms * 1e3));
         if (std::chrono::steady_clock::now() >= deadline) {
             sendJson(conn,
                      service::makeErrorResponse(
@@ -464,10 +381,10 @@ Router::handleFrame(Connection &conn, const std::string &payload)
     // string the backend's dispatcher coalesces on and the campaign
     // cache keys by — so repeats of one computation always land on
     // one backend, where they coalesce instead of recomputing.
-    std::string routing_key = service::requestKey(typed);
-    forward(conn, id, *verb, routing_key,
-            service::encodeRequestParams(typed),
-            request.boolOr("accept_stream", false));
+    std::string routing_key = service::requestKey(request.request);
+    forward(conn, id, request.verb, routing_key,
+            service::encodeRequestParams(request.request),
+            request.accept_stream);
     return true;
 }
 

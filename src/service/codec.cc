@@ -240,6 +240,65 @@ decodeRequestParams(Verb verb, const Json &params)
     }
 }
 
+std::variant<DecodedRequest, RejectedRequest>
+decodeRequest(std::string_view text)
+{
+    Json envelope;
+    try {
+        envelope = Json::parse(text);
+    } catch (const JsonError &e) {
+        return RejectedRequest{Json(), {"malformed_frame", e.what()}};
+    }
+    if (!envelope.isObject())
+        return RejectedRequest{
+            Json(), {"malformed_frame", "request must be a JSON object"}};
+
+    DecodedRequest decoded;
+    if (envelope.has("id"))
+        decoded.id = envelope.at("id");
+    auto reject = [&decoded](const char *code, std::string message) {
+        return RejectedRequest{std::move(decoded.id),
+                               {code, std::move(message)}};
+    };
+
+    if (!envelope.has("verb") || !envelope.at("verb").isString())
+        return reject("bad_request", "missing string field 'verb'");
+    const std::string &name = envelope.at("verb").asString();
+    std::optional<Verb> verb = verbFromName(name);
+    if (!verb)
+        return reject("unknown_verb", "unknown verb '" + name + "'");
+    decoded.verb = *verb;
+    if (*verb == Verb::Ping || *verb == Verb::Stats ||
+        *verb == Verb::Shutdown)
+        return decoded;
+
+    static const Json kNoParams = Json::object();
+    try {
+        decoded.request = decodeRequestParams(
+            *verb, envelope.has("params") ? envelope.at("params")
+                                          : kNoParams);
+    } catch (const JsonError &e) {
+        return reject("bad_request", e.what());
+    }
+
+    if (envelope.has("deadline_ms")) {
+        const Json &raw = envelope.at("deadline_ms");
+        double ms = raw.isNumber() ? raw.asNumber() : -1.0;
+        if (!(ms >= 0) || ms > 3.6e6)
+            return reject("bad_request",
+                          "deadline_ms must be a number in [0, 3.6e6]");
+        decoded.deadline_ms = ms;
+    }
+    if (envelope.has("accept_stream")) {
+        const Json &raw = envelope.at("accept_stream");
+        if (!raw.isBool())
+            return reject("bad_request",
+                          "accept_stream must be a boolean");
+        decoded.accept_stream = raw.asBool();
+    }
+    return decoded;
+}
+
 Json
 encodeRequestParams(const AnyRequest &request)
 {

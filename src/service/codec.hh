@@ -6,13 +6,17 @@
  * request params into these types and encodes harness results; the
  * client library does the reverse. decode* functions validate ranges
  * and throw JsonError on anything off — the server maps that to a
- * structured `bad_request` response.
+ * structured `bad_request` response. decodeRequest() applies the
+ * request-envelope rules every front end (vnoised, its HTTP gateway,
+ * vnoise_router) shares.
  */
 
 #ifndef VN_SERVICE_CODEC_HH
 #define VN_SERVICE_CODEC_HH
 
+#include <optional>
 #include <string>
+#include <string_view>
 #include <variant>
 
 #include "analysis/guardband.hh"
@@ -75,6 +79,36 @@ std::string requestKey(const AnyRequest &request);
 
 /** Decode/validate `params` for a compute verb; throws JsonError. */
 AnyRequest decodeRequestParams(Verb verb, const Json &params);
+
+/** A request envelope that passed decodeRequest()'s rules. */
+struct DecodedRequest
+{
+    Json id; //!< echoed verbatim; null when absent
+    Verb verb = Verb::Ping;
+    AnyRequest request; //!< this and below: compute verbs only
+    std::optional<double> deadline_ms; //!< relative to arrival
+    bool accept_stream = false;
+};
+
+/** A request envelope that broke one of decodeRequest()'s rules. */
+struct RejectedRequest
+{
+    Json id; //!< the request's id when one was recovered, else null
+    WireError error;
+};
+
+/**
+ * Decode one request envelope (a frame's payload or a `POST /v1/query`
+ * body) by the rules every front end shares, checked in this order:
+ * the text is a JSON object (`malformed_frame`); `verb` is a string
+ * (`bad_request`) naming a known verb (`unknown_verb`); ping, stats and
+ * shutdown stop there; then `params` (default `{}`) must pass
+ * decodeRequestParams, `deadline_ms` must be a number of milliseconds
+ * in [0, one hour] and `accept_stream` a boolean, when present (each
+ * `bad_request`). Hostile input yields a rejection, never an exception.
+ */
+std::variant<DecodedRequest, RejectedRequest>
+decodeRequest(std::string_view text);
 
 /** Encode a typed request's params (client side). */
 Json encodeRequestParams(const AnyRequest &request);

@@ -81,6 +81,20 @@ number17g(double v)
     return buf;
 }
 
+/** Status of a `POST /v1/query` answered with this wire error code. */
+int
+queryStatus(const std::string &code)
+{
+    if (code == "malformed_body" || code == "bad_request" ||
+        code == "unknown_verb")
+        return 400;
+    if (code == "overloaded" || code == "shutting_down")
+        return 503;
+    if (code == "deadline_exceeded")
+        return 504;
+    return 500;
+}
+
 } // namespace
 
 const std::string *
@@ -560,85 +574,60 @@ HttpGateway::handleQuery(const HttpRequest &request, bool &close)
         metrics_.http_requests.add();
         if (status >= 400)
             metrics_.http_errors.add();
+        std::vector<HttpHeader> extra;
+        if (status == 503)
+            extra.push_back({"Retry-After", "1"});
         return buildHttpResponse(status, "application/json",
-                                 body.dump() + "\n", {}, close);
+                                 body.dump() + "\n", extra, close);
     };
-    auto errorJson = [&respond](int status, const Json &id,
-                                const std::string &code,
-                                const std::string &message) {
-        return respond(status,
-                       makeErrorResponse(id, WireError{code, message}));
+    auto fail = [&respond](const Json &id, const WireError &error) {
+        return respond(queryStatus(error.code),
+                       makeErrorResponse(id, error));
     };
 
     if (request.header("content-length") == nullptr)
-        return errorJson(400, Json(), "bad_request",
-                         "POST /v1/query requires a Content-Length "
-                         "body");
+        return fail(Json(), {"bad_request",
+                             "POST /v1/query requires a Content-Length "
+                             "body"});
 
-    Json body;
-    try {
-        body = Json::parse(request.body);
-    } catch (const JsonError &e) {
-        return errorJson(400, Json(), "malformed_body", e.what());
+    std::variant<DecodedRequest, RejectedRequest> decoded =
+        decodeRequest(request.body);
+    if (auto *rejected = std::get_if<RejectedRequest>(&decoded)) {
+        // The envelope here is a body, not a frame.
+        if (rejected->error.code == "malformed_frame")
+            rejected->error.code = "malformed_body";
+        return fail(rejected->id, rejected->error);
     }
-    if (!body.isObject())
-        return errorJson(400, Json(), "malformed_body",
-                         "request body must be a JSON object");
+    DecodedRequest &query = std::get<DecodedRequest>(decoded);
 
-    Json id = body.has("id") ? body.at("id") : Json();
-    if (!body.has("verb") || !body.at("verb").isString())
-        return errorJson(400, id, "bad_request",
-                         "missing string field 'verb'");
-    std::string verb_name = body.at("verb").asString();
-    std::optional<Verb> verb = verbFromName(verb_name);
-    if (!verb)
-        return errorJson(400, id, "unknown_verb",
-                         "unknown verb '" + verb_name + "'");
-
-    switch (*verb) {
+    switch (query.verb) {
     case Verb::Ping: {
         Json result = Json::object();
         result.set("pong", Json::boolean(true));
         result.set("protocol",
                    Json::number(static_cast<double>(kProtocolVersion)));
-        return respond(200, makeOkResponse(id, std::move(result)));
+        return respond(200, makeOkResponse(query.id, std::move(result)));
     }
     case Verb::Stats:
         return respond(200,
-                       makeOkResponse(id, hooks_.stats_json
-                                              ? hooks_.stats_json()
-                                              : Json::object()));
+                       makeOkResponse(query.id, hooks_.stats_json
+                                                    ? hooks_.stats_json()
+                                                    : Json::object()));
     case Verb::Shutdown:
         // The HTTP side is observability surface; lifecycle stays on
         // the framed protocol and signals.
-        return errorJson(400, id, "bad_request",
-                         "shutdown is not served over HTTP; use the "
-                         "framed protocol or SIGTERM");
+        return fail(query.id,
+                    {"bad_request", "shutdown is not served over HTTP; "
+                                    "use the framed protocol or SIGTERM"});
     default:
         break;
     }
 
-    AnyRequest typed;
-    try {
-        Json params =
-            body.has("params") ? body.at("params") : Json::object();
-        typed = decodeRequestParams(*verb, params);
-    } catch (const JsonError &e) {
-        return errorJson(400, id, "bad_request", e.what());
-    }
-
     std::optional<Dispatcher::Clock::time_point> deadline;
-    if (body.has("deadline_ms")) {
-        const Json &raw = body.at("deadline_ms");
-        double ms = raw.isNumber() ? raw.asNumber() : -1.0;
-        if (!raw.isNumber() || !(ms >= 0) || ms > 3.6e6)
-            return errorJson(400, id, "bad_request",
-                             "deadline_ms must be a number in "
-                             "[0, 3.6e6]");
+    if (query.deadline_ms)
         deadline = Dispatcher::Clock::now() +
-                   std::chrono::microseconds(
-                       static_cast<int64_t>(ms * 1000.0));
-    }
+                   std::chrono::microseconds(static_cast<int64_t>(
+                       *query.deadline_ms * 1000.0));
 
     // The connection thread blocks for the completion; the promise is
     // shared so the batcher-side completion never touches a stack
@@ -647,7 +636,7 @@ HttpGateway::handleQuery(const HttpRequest &request, bool &close)
         std::promise<std::variant<AnyResult, WireError>>>();
     std::future<std::variant<AnyResult, WireError>> future =
         promise->get_future();
-    dispatcher_->submit(std::move(typed), deadline,
+    dispatcher_->submit(std::move(query.request), deadline,
                         [promise](std::variant<AnyResult, WireError>
                                       outcome) {
                             promise->set_value(std::move(outcome));
@@ -656,29 +645,10 @@ HttpGateway::handleQuery(const HttpRequest &request, bool &close)
 
     if (std::holds_alternative<AnyResult>(outcome))
         return respond(200,
-                       makeOkResponse(
-                           id, encodeResult(
-                                   std::get<AnyResult>(outcome))));
-
-    const WireError &error = std::get<WireError>(outcome);
-    int status = 500;
-    std::vector<HttpHeader> extra;
-    if (error.code == "bad_request" || error.code == "unknown_verb")
-        status = 400;
-    else if (error.code == "overloaded" ||
-             error.code == "shutting_down")
-        status = 503;
-    else if (error.code == "deadline_exceeded")
-        status = 504;
-    metrics_.http_requests.add();
-    metrics_.http_errors.add();
-    std::string body_text =
-        makeErrorResponse(id, error).dump() + "\n";
-    if (status == 503)
-        return buildHttpResponse(status, "application/json", body_text,
-                                 {{"Retry-After", "1"}}, close);
-    return buildHttpResponse(status, "application/json", body_text, {},
-                             close);
+                       makeOkResponse(query.id,
+                                      encodeResult(std::get<AnyResult>(
+                                          outcome))));
+    return fail(query.id, std::get<WireError>(outcome));
 }
 
 } // namespace vn::service

@@ -107,6 +107,37 @@ writeFrame(int fd, const std::string &payload)
     return sendAll(fd, frame);
 }
 
+FrameStatus
+serveFrames(int fd, size_t max_frame_bytes,
+            const std::function<bool(const std::string &)> &on_frame,
+            const std::function<void(const Json &)> &send)
+{
+    std::string payload;
+    FrameStatus status = FrameStatus::Ok;
+    while ((status = readFrame(fd, payload, max_frame_bytes)) ==
+           FrameStatus::Ok) {
+        bool proceed = false;
+        try {
+            proceed = on_frame(payload);
+        } catch (const std::exception &e) {
+            // Belt and braces: an exception escaping into the thread
+            // entry would std::terminate the daemon, so no request —
+            // however hostile — may throw past here. Answer, hang up.
+            send(makeErrorResponse(Json(), WireError{"internal", e.what()}));
+        }
+        if (!proceed)
+            break;
+    }
+    if (status == FrameStatus::Oversized)
+        send(makeErrorResponse(
+            Json(), WireError{"oversized_frame",
+                              "frame exceeds " +
+                                  std::to_string(max_frame_bytes) +
+                                  " bytes"}));
+    lingerBeforeClose(fd);
+    return status;
+}
+
 Json
 makeOkResponse(const Json &id, Json result)
 {

@@ -22,11 +22,14 @@
  *
  * Error codes: malformed_frame, oversized_frame, unknown_verb,
  * bad_request, overloaded, deadline_exceeded, shutting_down, internal,
- * result_too_large.
+ * result_too_large. The envelope's own (malformed_frame, bad_request,
+ * unknown_verb) come from decodeRequest() in codec.hh; `internal` is
+ * also what serveFrames() answers when a frame handler throws.
  *
- * Streaming: a request may carry `"accept_stream": true`. A server
- * whose encoded result would not fit one frame may then answer with a
- * chunked stream instead of a single response:
+ * Streaming: a request may carry `"accept_stream": true` (a boolean;
+ * anything else is a bad_request). A server whose encoded result would
+ * not fit one frame may then answer with a chunked stream instead of a
+ * single response:
  *
  *   {"id": N, "ok": true, "stream": "begin", "verb": "trace",
  *    "bytes": B, "chunks": K, "chunk_bytes": C}
@@ -51,6 +54,7 @@
 #define VN_SERVICE_PROTOCOL_HH
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
 
@@ -132,6 +136,21 @@ FrameStatus readFrame(int fd, std::string &payload, size_t max_bytes);
 
 /** Write one frame (retries partial writes); false on error/EPIPE. */
 bool writeFrame(int fd, const std::string &payload);
+
+/**
+ * The framed read loop of one vnoised or vnoise_router connection:
+ * hand each frame read from `fd` to `on_frame` until the peer hangs up
+ * or `on_frame` returns false. A frame over `max_frame_bytes` is
+ * answered `oversized_frame` through `send` and ends the loop (the
+ * stream cannot be resynchronized); so does an exception escaping
+ * `on_frame`, answered `internal`. Lingers before returning, so the
+ * last answer reaches the peer. Returns the read status that ended the
+ * loop (Ok when `on_frame` did).
+ */
+FrameStatus
+serveFrames(int fd, size_t max_frame_bytes,
+            const std::function<bool(const std::string &)> &on_frame,
+            const std::function<void(const Json &)> &send);
 
 /** Build the JSON envelope of a success response. */
 Json makeOkResponse(const Json &id, Json result);

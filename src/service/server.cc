@@ -1,36 +1,16 @@
 #include "service/server.hh"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 
 #include "analysis/campaigns.hh"
 #include "runtime/cache.hh"
 #include "runtime/hash.hh"
 #include "util/logging.hh"
+#include "util/stats.hh"
 
 namespace vn::service
 {
-
-namespace
-{
-
-/** Interpolated percentile of an unsorted sample (p in [0,100]). */
-double
-percentileOf(std::vector<double> samples, double p)
-{
-    if (samples.empty())
-        return 0.0;
-    std::sort(samples.begin(), samples.end());
-    double rank = (p / 100.0) *
-                  static_cast<double>(samples.size() - 1);
-    size_t lo = static_cast<size_t>(std::floor(rank));
-    size_t hi = std::min(lo + 1, samples.size() - 1);
-    double frac = rank - static_cast<double>(lo);
-    return samples[lo] + frac * (samples[hi] - samples[lo]);
-}
-
-} // namespace
 
 Server::Server(const AnalysisContext &ctx, ServerConfig config)
     : config_(config),
@@ -160,50 +140,16 @@ Server::handleConnection(int fd, uint64_t index)
     // stable for the connection's lifetime, never reused.
     conn->client_id = index + 1;
 
-    std::string payload;
-    while (true) {
-        FrameStatus status =
-            readFrame(conn->fd, payload, config_.max_frame_bytes);
-        if (status == FrameStatus::Oversized) {
-            {
-                std::lock_guard<std::mutex> lock(counters_mutex_);
-                ++counters_.oversized;
-            }
-            // The payload was never read, so the stream cannot be
-            // resynchronized: answer, then close.
-            sendJson(*conn,
-                     makeErrorResponse(
-                         Json(),
-                         WireError{"oversized_frame",
-                                   "frame exceeds " +
-                                       std::to_string(
-                                           config_.max_frame_bytes) +
-                                       " bytes"}));
-            break;
-        }
-        if (status != FrameStatus::Ok)
-            break; // EOF, truncated frame, or I/O error: hang up.
-
-        {
-            std::lock_guard<std::mutex> lock(counters_mutex_);
-            ++counters_.frames;
-        }
-        bool proceed = false;
-        try {
-            proceed = handleFrame(conn, payload);
-        } catch (const std::exception &e) {
-            // Belt and braces: an exception escaping into the thread
-            // entry would std::terminate the daemon, so no request —
-            // however hostile — may throw past here. Answer, hang up.
-            sendJson(*conn,
-                     makeErrorResponse(
-                         Json(),
-                         WireError{"internal_error", e.what()}));
-        }
-        if (!proceed)
-            break;
+    FrameStatus last = serveFrames(
+        fd, config_.max_frame_bytes,
+        [this, &conn](const std::string &payload) {
+            return handleFrame(conn, payload);
+        },
+        [this, &conn](const Json &response) { sendJson(*conn, response); });
+    if (last == FrameStatus::Oversized) {
+        std::lock_guard<std::mutex> lock(counters_mutex_);
+        ++counters_.oversized;
     }
-    lingerBeforeClose(conn->fd);
 
     // The listener closes the socket once this thread is joined. A
     // completion firing later on the batcher thread takes the write
@@ -217,55 +163,27 @@ bool
 Server::handleFrame(const std::shared_ptr<Connection> &conn,
                     const std::string &payload)
 {
-    Json request;
-    try {
-        request = Json::parse(payload);
-    } catch (const JsonError &e) {
+    {
+        std::lock_guard<std::mutex> lock(counters_mutex_);
+        ++counters_.frames;
+    }
+    std::variant<DecodedRequest, RejectedRequest> decoded =
+        decodeRequest(payload);
+    if (auto *rejected = std::get_if<RejectedRequest>(&decoded)) {
+        const std::string &code = rejected->error.code;
+        uint64_t ServerCounters::*counter =
+            code == "malformed_frame" ? &ServerCounters::malformed
+            : code == "unknown_verb"  ? &ServerCounters::unknown_verbs
+                                      : &ServerCounters::bad_requests;
         {
             std::lock_guard<std::mutex> lock(counters_mutex_);
-            ++counters_.malformed;
+            ++(counters_.*counter);
         }
-        sendJson(*conn,
-                 makeErrorResponse(
-                     Json(), WireError{"malformed_frame", e.what()}));
+        sendJson(*conn, makeErrorResponse(rejected->id, rejected->error));
         return true;
     }
-    if (!request.isObject()) {
-        std::lock_guard<std::mutex> lock(counters_mutex_);
-        ++counters_.malformed;
-        sendJson(*conn,
-                 makeErrorResponse(
-                     Json(),
-                     WireError{"malformed_frame",
-                               "request must be a JSON object"}));
-        return true;
-    }
-
-    Json id = request.has("id") ? request.at("id") : Json();
-
-    if (!request.has("verb") || !request.at("verb").isString()) {
-        std::lock_guard<std::mutex> lock(counters_mutex_);
-        ++counters_.bad_requests;
-        sendJson(*conn,
-                 makeErrorResponse(
-                     id, WireError{"bad_request",
-                                   "missing string field 'verb'"}));
-        return true;
-    }
-    std::string verb_name = request.at("verb").asString();
-    std::optional<Verb> verb = verbFromName(verb_name);
-    if (!verb) {
-        std::lock_guard<std::mutex> lock(counters_mutex_);
-        ++counters_.unknown_verbs;
-        sendJson(*conn,
-                 makeErrorResponse(
-                     id, WireError{"unknown_verb",
-                                   "unknown verb '" + verb_name +
-                                       "'"}));
-        return true;
-    }
-
-    switch (*verb) {
+    DecodedRequest &request = std::get<DecodedRequest>(decoded);
+    switch (request.verb) {
     case Verb::Ping: {
         // Inline interactive verbs bypass the queue entirely; their
         // handling time feeds the interactive-tier histogram so the
@@ -286,7 +204,7 @@ Server::handleFrame(const std::shared_ptr<Connection> &conn,
         result.set("scope", Json::str(scope_fingerprint_));
         if (!config_.advertise.empty())
             result.set("advertise", Json::str(config_.advertise));
-        sendJson(*conn, makeOkResponse(id, std::move(result)));
+        sendJson(*conn, makeOkResponse(request.id, std::move(result)));
         metrics_.interactive_wait_ms.observe(
             std::chrono::duration<double, std::milli>(
                 Dispatcher::Clock::now() - ping_start)
@@ -294,13 +212,13 @@ Server::handleFrame(const std::shared_ptr<Connection> &conn,
         return true;
     }
     case Verb::Stats: {
-        sendJson(*conn, makeOkResponse(id, statsJson()));
+        sendJson(*conn, makeOkResponse(request.id, statsJson()));
         return true;
     }
     case Verb::Shutdown: {
         Json result = Json::object();
         result.set("draining", Json::boolean(true));
-        sendJson(*conn, makeOkResponse(id, std::move(result)));
+        sendJson(*conn, makeOkResponse(request.id, std::move(result)));
         beginShutdown();
         return true;
     }
@@ -308,50 +226,16 @@ Server::handleFrame(const std::shared_ptr<Connection> &conn,
         break;
     }
 
-    AnyRequest typed;
-    try {
-        Json params =
-            request.has("params") ? request.at("params") : Json::object();
-        typed = decodeRequestParams(*verb, params);
-    } catch (const JsonError &e) {
-        {
-            std::lock_guard<std::mutex> lock(counters_mutex_);
-            ++counters_.bad_requests;
-        }
-        sendJson(*conn,
-                 makeErrorResponse(
-                     id, WireError{"bad_request", e.what()}));
-        return true;
-    }
-
     std::optional<Dispatcher::Clock::time_point> deadline;
-    if (request.has("deadline_ms")) {
-        // isNumber() first: asNumber() on a string/null/... throws,
-        // and an exception escaping here would terminate the daemon.
-        const Json &raw = request.at("deadline_ms");
-        double ms = raw.isNumber() ? raw.asNumber() : -1.0;
-        if (!raw.isNumber() || !(ms >= 0) || ms > 3.6e6) {
-            std::lock_guard<std::mutex> lock(counters_mutex_);
-            ++counters_.bad_requests;
-            sendJson(*conn,
-                     makeErrorResponse(
-                         id,
-                         WireError{
-                             "bad_request",
-                             "deadline_ms must be a number in "
-                             "[0, 3.6e6]"}));
-            return true;
-        }
+    if (request.deadline_ms)
         deadline = Dispatcher::Clock::now() +
-                   std::chrono::microseconds(
-                       static_cast<int64_t>(ms * 1000.0));
-    }
+                   std::chrono::microseconds(static_cast<int64_t>(
+                       *request.deadline_ms * 1000.0));
 
-    bool accept_stream = request.boolOr("accept_stream", false);
-    std::string verb_name_owned = verb_name;
     dispatcher_->submit(
-        std::move(typed), deadline,
-        [this, conn, id, accept_stream, verb_name_owned](
+        std::move(request.request), deadline,
+        [this, conn, id = std::move(request.id),
+         accept_stream = request.accept_stream, verb = request.verb](
             std::variant<AnyResult, WireError> outcome) {
             if (std::holds_alternative<WireError>(outcome)) {
                 sendJson(*conn,
@@ -384,7 +268,7 @@ Server::handleFrame(const std::shared_ptr<Connection> &conn,
                                      "receive it chunked"}));
                 return;
             }
-            sendStream(*conn, id, verb_name_owned, text);
+            sendStream(*conn, id, verb, text);
         },
         conn->client_id);
     return true;
@@ -404,8 +288,7 @@ Server::streamThresholdBytes() const
 }
 
 void
-Server::sendStream(Connection &conn, const Json &id,
-                   const std::string &verb_name,
+Server::sendStream(Connection &conn, const Json &id, Verb verb,
                    const std::string &result_text)
 {
     // Worst-case JSON escaping doubles every data byte; clamp the
@@ -441,8 +324,9 @@ Server::sendStream(Connection &conn, const Json &id,
         ++counters_.streams;
     }
     if (!writeFrame(conn.fd,
-                    makeStreamBegin(id, verb_name, result_text.size(),
-                                    chunks, chunk_bytes)
+                    makeStreamBegin(id, verbName(verb),
+                                    result_text.size(), chunks,
+                                    chunk_bytes)
                         .dump())) {
         abort();
         return;
@@ -567,9 +451,9 @@ Server::statsJson() const
         std::vector<double> waits =
             dispatcher_->tierWaitSamplesMs(tier);
         admission.set(prefix + "_wait_p50_ms",
-                      n(percentileOf(waits, 50.0)));
+                      n(percentile(waits, 50.0)));
         admission.set(prefix + "_wait_p99_ms",
-                      n(percentileOf(std::move(waits), 99.0)));
+                      n(percentile(waits, 99.0)));
     }
 
     // Client-resilience series (ResilientClient wired to this
@@ -591,8 +475,8 @@ Server::statsJson() const
 
     Json latency_ms = Json::object();
     latency_ms.set("window", u(latency.size()));
-    latency_ms.set("p50", n(percentileOf(latency, 50.0)));
-    latency_ms.set("p99", n(percentileOf(latency, 99.0)));
+    latency_ms.set("p50", n(percentile(latency, 50.0)));
+    latency_ms.set("p99", n(percentile(latency, 99.0)));
 
     Json stats = Json::object();
     stats.set("protocol",

@@ -213,8 +213,7 @@ class Server
     bool handleFrame(const std::shared_ptr<Connection> &conn,
                      const std::string &payload);
     void sendJson(Connection &conn, const Json &response);
-    void sendStream(Connection &conn, const Json &id,
-                    const std::string &verb_name,
+    void sendStream(Connection &conn, const Json &id, Verb verb,
                     const std::string &result_text);
     size_t streamThresholdBytes() const;
     Json statsJson() const;

@@ -43,6 +43,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include "../service/envelope_table.hh"
 #include "router/ring.hh"
 #include "router/router.hh"
 #include "service/client.hh"
@@ -380,6 +381,31 @@ TEST(Router, NoHealthyOwnerIsARetryableReject)
 
     router.beginShutdown();
     router.wait();
+}
+
+TEST(Router, EnvelopeTableAnswersEveryRowAndKeepsTheConnection)
+{
+    // The router decodes every envelope itself: no row may reach the
+    // backend, and each is counted like vnoised counts it.
+    auto ctx = bareContext();
+    ServerConfig sconfig;
+    sconfig.port = 0;
+    Server backend(ctx, sconfig);
+    backend.start();
+    Router router(routerConfig({{"b0", backend.port(), -1}}));
+    router.start();
+
+    envelope::runFramed(router.port());
+    RouterCounters counters = router.counters();
+    EXPECT_EQ(counters.malformed, envelope::count("malformed_frame"));
+    EXPECT_EQ(counters.unknown_verbs, envelope::count("unknown_verb"));
+    EXPECT_EQ(counters.bad_requests, envelope::count("bad_request"));
+    EXPECT_EQ(counters.forwarded, 0u);
+
+    router.beginShutdown();
+    router.wait();
+    backend.beginShutdown();
+    backend.wait();
 }
 
 TEST(RouterDeathTest, SecondShutdownSignalExitsWith130)

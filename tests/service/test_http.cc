@@ -26,6 +26,7 @@
 #include <sys/time.h>
 #include <unistd.h>
 
+#include "envelope_table.hh"
 #include "service/client.hh"
 #include "service/faultnet.hh"
 #include "service/http.hh"
@@ -442,6 +443,37 @@ TEST(HttpConformance, QueryValidationErrors)
     EXPECT_EQ(stats.status, 200);
     Json stats_body = Json::parse(stats.body);
     EXPECT_TRUE(stats_body.at("result").has("requests"));
+
+    server.beginShutdown();
+    server.wait();
+}
+
+TEST(HttpConformance, EnvelopeTableAnswersEveryRowAndKeepsTheConnection)
+{
+    auto ctx = bareContext();
+    Server server(ctx, httpEnabledConfig());
+    server.start();
+
+    int fd = connectTo(server.httpPort());
+    std::string buffer;
+    for (envelope::Row row : envelope::rows()) {
+        SCOPED_TRACE(row.payload);
+        // The gateway's own name for an envelope that is no object.
+        if (row.code == "malformed_frame")
+            row.code = "malformed_body";
+        HttpResponse response;
+        ASSERT_TRUE(sendAll(fd, jsonPost(row.payload)));
+        ASSERT_TRUE(readHttpResponse(fd, buffer, response));
+        EXPECT_EQ(response.status, row.code.empty() ? 200 : 400);
+        envelope::expectAnswer(row, Json::parse(response.body));
+
+        ASSERT_TRUE(
+            sendAll(fd, jsonPost(R"({"id":"next","verb":"ping"})")));
+        ASSERT_TRUE(readHttpResponse(fd, buffer, response))
+            << "the connection did not survive the row";
+        EXPECT_EQ(response.status, 200);
+    }
+    ::close(fd);
 
     server.beginShutdown();
     server.wait();

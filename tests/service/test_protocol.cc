@@ -22,6 +22,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include "envelope_table.hh"
 #include "service/client.hh"
 #include "service/server.hh"
 
@@ -287,6 +288,15 @@ TEST_F(ProtocolServerTest, MalformedFramesGetStructuredErrors)
     EXPECT_TRUE(pong.at("ok").asBool());
     EXPECT_EQ(pong.at("id").asNumber(), 9.0);
     ::close(fd);
+}
+
+TEST_F(ProtocolServerTest, EnvelopeTableAnswersEveryRowAndKeepsTheConnection)
+{
+    envelope::runFramed(server_->port());
+    ServerCounters counters = server_->serverCounters();
+    EXPECT_EQ(counters.malformed, envelope::count("malformed_frame"));
+    EXPECT_EQ(counters.unknown_verbs, envelope::count("unknown_verb"));
+    EXPECT_EQ(counters.bad_requests, envelope::count("bad_request"));
 }
 
 TEST_F(ProtocolServerTest, OversizedFrameAnsweredThenClosed)

@@ -13,23 +13,22 @@
  *   vmin (--idle|--unsync|--sync)        margin experiment
  *   map --jobs K                         best/worst workload mapping
  *   spectrum [--freq HZ]                 droop spectrum of a run (FFT)
- *   serve [--port N] [--jobs N] ...      run the vnoised daemon
+ *   serve [vnoised options]              run the vnoised daemon
  *   cache scrub [--cache-dir P]          verify/quarantine the cache
  *   query <verb> [--port N] ...          one request against vnoised
  */
 
+#include <cmath>
 #include <complex>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <iostream>
-#include <map>
 #include <string>
 #include <vector>
 
+#include "args.hh"
+#include "daemon.hh"
 #include "service/client.hh"
 #include "service/resilient.hh"
-#include "service/server.hh"
 #include "vnoise/vnoise.hh"
 #include "vnoise_version.hh"
 
@@ -37,84 +36,7 @@ namespace
 {
 
 using namespace vn;
-
-/** Tiny --key value parser. */
-class Args
-{
-  public:
-    Args(int argc, char **argv, int start = 2)
-    {
-        for (int i = start; i < argc; ++i) {
-            std::string key = argv[i];
-            if (key.rfind("--", 0) != 0) {
-                if (stray_.empty())
-                    stray_ = key;
-                continue;
-            }
-            key = key.substr(2);
-            // A "-4"-style negative number is a value, not a flag
-            // (e.g. `serve --http-port -1` disables the gateway).
-            if (i + 1 < argc &&
-                (argv[i + 1][0] != '-' ||
-                 (argv[i + 1][1] >= '0' && argv[i + 1][1] <= '9'))) {
-                values_[key] = argv[i + 1];
-                ++i;
-            } else {
-                values_[key] = "1";
-            }
-        }
-    }
-
-    bool has(const std::string &key) const { return values_.count(key); }
-
-    /** First positional argument that is not a --flag ("" if none). */
-    const std::string &stray() const { return stray_; }
-
-    /** First parsed key not in `allowed` ("" if all are known). */
-    std::string
-    unknownKey(const std::vector<std::string> &allowed) const
-    {
-        for (const auto &[key, value] : values_) {
-            bool known = false;
-            for (const std::string &a : allowed)
-                if (key == a)
-                    known = true;
-            if (!known)
-                return key;
-        }
-        return "";
-    }
-
-    std::string
-    text(const std::string &key, const std::string &fallback) const
-    {
-        auto it = values_.find(key);
-        return it == values_.end() ? fallback : it->second;
-    }
-
-    double
-    number(const std::string &key, double fallback) const
-    {
-        auto it = values_.find(key);
-        if (it == values_.end())
-            return fallback;
-        try {
-            size_t used = 0;
-            double v = std::stod(it->second, &used);
-            if (used != it->second.size())
-                throw std::invalid_argument(it->second);
-            return v;
-        } catch (const std::exception &) {
-            fatal("vnoise_cli: --", key, " expects a number, got '",
-                  it->second, "'");
-        }
-        return fallback;
-    }
-
-  private:
-    std::map<std::string, std::string> values_;
-    std::string stray_;
-};
+using vn::tools::Args;
 
 /** Flags accepted by every subcommand. */
 const std::vector<std::string> kCommonFlags = {
@@ -212,7 +134,6 @@ int
 cmdSweep(const Args &args)
 {
     AnalysisContext ctx;
-    ctx.kit = &kit();
     ctx.window = 20e-6;
     runtime::CampaignStats stats;
     ctx.campaign = campaignOptions(args);
@@ -220,6 +141,7 @@ cmdSweep(const Args &args)
     bool sync = args.has("sync");
     auto freqs = logspace(10e3, 50e6,
                           static_cast<size_t>(args.number("points", 9)));
+    ctx.kit = &kit();
     auto points = sweepStimulusFrequency(ctx, freqs, sync);
     TextTable table({"Stimulus", "max %p2p", "min VDie"});
     for (const auto &p : points)
@@ -307,11 +229,11 @@ cmdMap(const Args &args)
     if (workloads < 1 || workloads > kNumCores)
         fatal("vnoise_cli map: --workloads must be in [1, 6]");
     AnalysisContext ctx;
-    ctx.kit = &kit();
     ctx.window = 16e-6;
     runtime::CampaignStats stats;
     ctx.campaign = campaignOptions(args);
     ctx.campaign.stats_sink = &stats;
+    ctx.kit = &kit();
     MappingStudy study(ctx, 2.4e6);
     auto opportunities = mappingOpportunity(study);
     inform("campaign: ", stats.summary());
@@ -364,72 +286,7 @@ cmdSpectrum(const Args &args)
     return 0;
 }
 
-int
-cmdServe(const Args &args)
-{
-    service::ServerConfig config;
-    config.port =
-        static_cast<int>(args.number("port", service::kDefaultPort));
-    config.http_port = static_cast<int>(
-        args.number("http-port", service::kDefaultHttpPort));
-    config.dispatcher.queue_depth =
-        static_cast<int>(args.number("queue-depth", 64));
-    config.dispatcher.max_batch =
-        static_cast<int>(args.number("max-batch", 32));
-    config.dispatcher.batch_window_ms =
-        static_cast<int>(args.number("batch-window-ms", 0));
-    config.dispatcher.wfq.interactive_weight = args.number(
-        "interactive-weight", config.dispatcher.wfq.interactive_weight);
-    config.dispatcher.wfq.batch_weight =
-        args.number("batch-weight", config.dispatcher.wfq.batch_weight);
-    config.dispatcher.wfq.promotion_age_ms = args.number(
-        "promotion-age-ms", config.dispatcher.wfq.promotion_age_ms);
-    config.stream_chunk_bytes = static_cast<size_t>(args.number(
-        "stream-chunk-bytes",
-        static_cast<double>(config.stream_chunk_bytes)));
-    config.stream_threshold_bytes = static_cast<size_t>(args.number(
-        "stream-threshold-bytes",
-        static_cast<double>(config.stream_threshold_bytes)));
-    config.advertise = args.text("advertise", "");
-    config.drain_timeout_s = args.number("drain-timeout-s", 30.0);
-
-    AnalysisContext ctx;
-    ctx.chip_config = chipConfig(args);
-    ctx.kit = &kit();
-    ctx.campaign = campaignOptions(args);
-
-    service::Server server(ctx, config);
-    server.start();
-    server.installSignalHandlers();
-    std::printf("vnoised %s listening on 127.0.0.1:%d "
-                "(%d workers, queue depth %d)\n",
-                VN_VERSION, server.port(), server.dispatcher().threads(),
-                config.dispatcher.queue_depth);
-    if (server.httpPort() >= 0)
-        std::printf("vnoised: HTTP gateway on 127.0.0.1:%d "
-                    "(/metrics, /healthz, /readyz, /v1/query)\n",
-                    server.httpPort());
-    std::fflush(stdout);
-    server.wait();
-
-    service::ServiceCounters c = server.dispatcher().counters();
-    std::printf("vnoised: drained after %llu requests "
-                "(%llu ok, %llu errors, %llu batches, %zu cache hits)\n",
-                static_cast<unsigned long long>(c.received),
-                static_cast<unsigned long long>(c.completed_ok),
-                static_cast<unsigned long long>(c.completed_error),
-                static_cast<unsigned long long>(c.batches),
-                c.campaign.cache_hits);
-    if (!server.drainedCleanly()) {
-        warn("vnoised: drain timed out; exiting without joining the "
-             "wedged batcher");
-        std::fflush(nullptr);
-        // _Exit skips destructors: ~Dispatcher would block forever on
-        // the wedged batcher thread.
-        std::_Exit(1);
-    }
-    return 0;
-}
+void usage(std::FILE *out);
 
 int
 cmdCache(int argc, char **argv)
@@ -439,14 +296,9 @@ cmdCache(int argc, char **argv)
                      "vnoise_cli cache: expected subcommand 'scrub'\n");
         return 2;
     }
-    Args args(argc, argv, 3);
-    std::string bad = args.unknownKey({"cache-dir"});
-    if (!bad.empty()) {
-        std::fprintf(stderr,
-                     "vnoise_cli cache scrub: unknown option '--%s'\n",
-                     bad.c_str());
+    Args args("vnoise_cli", argc, argv, 3);
+    if (!args.check({"cache-dir"}, usage))
         return 2;
-    }
     std::string dir = args.text("cache-dir", vn::defaultCacheDir());
     runtime::ResultCache cache(dir);
     runtime::ScrubReport report = cache.scrub();
@@ -489,17 +341,14 @@ cmdQuery(int argc, char **argv)
         return 2;
     }
     std::string verb = argv[2];
-    Args args(argc, argv, 3);
-    std::string bad = args.unknownKey(
-        {"port", "router", "deadline-ms", "retries", "backoff-ms",
-         "call-deadline-ms", "accept-stream", "freq", "sync", "events",
-         "bias-step", "mapping", "window", "core", "decimation",
-         "intervals", "mean-active", "seed"});
-    if (!bad.empty()) {
-        std::fprintf(stderr, "vnoise_cli query: unknown option '--%s'\n",
-                     bad.c_str());
+    Args args("vnoise_cli", argc, argv, 3);
+    if (!args.check({"port", "router", "deadline-ms", "retries",
+                     "backoff-ms", "call-deadline-ms", "accept-stream",
+                     "freq", "sync", "events", "bias-step", "mapping",
+                     "window", "core", "decimation", "intervals",
+                     "mean-active", "seed"},
+                    usage))
         return 2;
-    }
 
     int port =
         static_cast<int>(args.number("port", service::kDefaultPort));
@@ -528,18 +377,16 @@ cmdQuery(int argc, char **argv)
                          host.c_str());
             return 2;
         }
-        try {
-            size_t used = 0;
-            port = std::stoi(target, &used);
-            if (used != target.size() || port < 1 || port > 65535)
-                throw std::invalid_argument(target);
-        } catch (const std::exception &) {
+        std::optional<double> value = tools::parseNumber(target);
+        if (!value || *value != std::trunc(*value) || *value < 1 ||
+            *value > 65535) {
             std::fprintf(stderr,
                          "vnoise_cli query: --router expects "
                          "HOST:PORT, got '%s'\n",
                          args.text("router", "").c_str());
             return 2;
         }
+        port = static_cast<int>(*value);
     }
     int retries = static_cast<int>(args.number("retries", 3));
     if (retries < 0) {
@@ -652,22 +499,8 @@ usage(std::FILE *out)
         "  vmin [--idle|--unsync|--sync]\n"
         "  map [--workloads K]\n"
         "  spectrum [--freq HZ]\n"
-        "  serve [--port N] [--http-port N] [--queue-depth N]\n"
-        "        [--max-batch N] [--batch-window-ms N]\n"
-        "        [--interactive-weight W] [--batch-weight W]\n"
-        "        [--promotion-age-ms N] [--stream-chunk-bytes N]\n"
-        "        [--stream-threshold-bytes N]\n"
-        "        [--advertise NAME] [--drain-timeout-s S]\n"
-        "                                   run the vnoised daemon\n"
-        "        (--http-port: Prometheus /metrics gateway, default "
-        "7412;\n"
-        "         0 = ephemeral, negative = disabled;\n"
-        "         --interactive-weight/--batch-weight: WFQ admission\n"
-        "         shares, default 4:1; --promotion-age-ms: starvation\n"
-        "         bound, default 1000;\n"
-        "         --advertise: backend name announced to vnoise_router;\n"
-        "         --drain-timeout-s: bound on the graceful drain at\n"
-        "         shutdown, default 30, <= 0 waits forever)\n"
+        "  serve [vnoised options]         run the vnoised daemon, with\n"
+        "        exactly vnoised's options (`vnoise_cli serve --help`)\n"
         "  cache scrub [--cache-dir P]     verify + quarantine corrupt\n"
         "        result-cache entries and reap stray temp files\n"
         "  query <verb> [--port N | --router HOST:PORT]\n"
@@ -698,19 +531,8 @@ int
 runChecked(const Args &args, std::vector<std::string> flags,
            int (*fn)(const Args &))
 {
-    if (!args.stray().empty()) {
-        std::fprintf(stderr, "vnoise_cli: unexpected argument '%s'\n",
-                     args.stray().c_str());
-        usage(stderr);
+    if (!args.check(withCommon(std::move(flags)), usage))
         return 2;
-    }
-    std::string bad = args.unknownKey(withCommon(std::move(flags)));
-    if (!bad.empty()) {
-        std::fprintf(stderr, "vnoise_cli: unknown option '--%s'\n",
-                     bad.c_str());
-        usage(stderr);
-        return 2;
-    }
     return fn(args);
 }
 
@@ -733,7 +555,7 @@ main(int argc, char **argv)
                     vn::service::kProtocolVersion);
         return 0;
     }
-    Args args(argc, argv);
+    Args args("vnoise_cli", argc, argv, 2);
     if (command == "impedance")
         return runChecked(args, {"core"}, cmdImpedance);
     if (command == "epi")
@@ -750,14 +572,7 @@ main(int argc, char **argv)
     if (command == "spectrum")
         return runChecked(args, {"freq"}, cmdSpectrum);
     if (command == "serve")
-        return runChecked(args,
-                          {"port", "http-port", "queue-depth",
-                           "max-batch", "batch-window-ms",
-                           "interactive-weight", "batch-weight",
-                           "promotion-age-ms", "stream-chunk-bytes",
-                           "stream-threshold-bytes", "advertise",
-                           "drain-timeout-s"},
-                          cmdServe);
+        return tools::vnoisedMain(args);
     if (command == "cache")
         return cmdCache(argc, argv);
     if (command == "query")

@@ -9,12 +9,12 @@
  * drain-aware /readyz.
  */
 
+#include <cmath>
 #include <cstdio>
-#include <cstring>
-#include <map>
+#include <sstream>
 #include <string>
-#include <vector>
 
+#include "args.hh"
 #include "router/router.hh"
 #include "util/logging.hh"
 #include "vnoise_version.hh"
@@ -55,17 +55,17 @@ parseBackend(const std::string &text)
         rest = rest.substr(eq + 1);
     }
     size_t colon = rest.find(':');
-    std::string port = colon == std::string::npos
-                           ? rest
-                           : rest.substr(0, colon);
-    try {
-        backend.port = std::stoi(port);
-        if (colon != std::string::npos)
-            backend.http_port = std::stoi(rest.substr(colon + 1));
-    } catch (const std::exception &) {
-        vn::fatal("vnoise_router: bad backend '", text,
-                  "' (want PORT, NAME=PORT, or NAME=PORT:HTTPPORT)");
-    }
+    auto port = [&text](const std::string &token) {
+        std::optional<double> value = vn::tools::parseNumber(token);
+        if (!value || *value != std::trunc(*value) ||
+            std::fabs(*value) > 65535)
+            vn::fatal("vnoise_router: bad backend '", text,
+                      "' (want PORT, NAME=PORT, or NAME=PORT:HTTPPORT)");
+        return static_cast<int>(*value);
+    };
+    backend.port = port(rest.substr(0, colon));
+    if (colon != std::string::npos)
+        backend.http_port = port(rest.substr(colon + 1));
     return backend;
 }
 
@@ -74,96 +74,43 @@ parseBackend(const std::string &text)
 int
 main(int argc, char **argv)
 {
-    std::map<std::string, std::string> flags;
-    for (int i = 1; i < argc; ++i) {
-        std::string key = argv[i];
-        if (key == "--help" || key == "-h") {
-            usage(stdout);
-            return 0;
-        }
-        if (key == "--version") {
-            std::printf("vnoise_router %s (protocol %d)\n", VN_VERSION,
-                        vn::service::kProtocolVersion);
-            return 0;
-        }
-        if (key.rfind("--", 0) != 0) {
-            std::fprintf(stderr,
-                         "vnoise_router: unexpected argument '%s'\n",
-                         key.c_str());
-            usage(stderr);
-            return 2;
-        }
-        key = key.substr(2);
-        if (i + 1 < argc &&
-            (argv[i + 1][0] != '-' ||
-             (argv[i + 1][1] >= '0' && argv[i + 1][1] <= '9'))) {
-            flags[key] = argv[i + 1];
-            ++i;
-        } else {
-            flags[key] = "1";
-        }
+    vn::tools::Args args("vnoise_router", argc, argv, 1);
+    if (args.has("help") || args.stray() == "-h") {
+        usage(stdout);
+        return 0;
     }
-    for (const auto &[key, value] : flags) {
-        static const char *known[] = {"backends", "port", "http-port",
-                                      "vnodes", "ring-seed",
-                                      "cache-dir", "health-period-ms",
-                                      "no-hedge"};
-        bool ok = false;
-        for (const char *k : known)
-            ok = ok || key == k;
-        if (!ok) {
-            std::fprintf(stderr,
-                         "vnoise_router: unknown option '--%s'\n",
-                         key.c_str());
-            usage(stderr);
-            return 2;
-        }
+    if (args.has("version")) {
+        std::printf("vnoise_router %s (protocol %d)\n", VN_VERSION,
+                    vn::service::kProtocolVersion);
+        return 0;
     }
-    if (!flags.count("backends")) {
+    if (!args.check({"backends", "port", "http-port", "vnodes",
+                     "ring-seed", "cache-dir", "health-period-ms",
+                     "no-hedge"},
+                    usage))
+        return 2;
+    if (!args.has("backends")) {
         std::fprintf(stderr, "vnoise_router: --backends is required\n");
         usage(stderr);
         return 2;
     }
-    auto number = [&flags](const std::string &key, double fallback) {
-        auto it = flags.find(key);
-        if (it == flags.end())
-            return fallback;
-        try {
-            return std::stod(it->second);
-        } catch (const std::exception &) {
-            vn::fatal("vnoise_router: --", key,
-                      " expects a number, got '", it->second, "'");
-        }
-        return fallback;
-    };
 
     vn::router::RouterConfig config;
     config.port = static_cast<int>(
-        number("port", vn::service::kDefaultRouterPort));
+        args.number("port", vn::service::kDefaultRouterPort));
     config.http_port = static_cast<int>(
-        number("http-port", vn::service::kDefaultRouterHttpPort));
-    config.ring.vnodes = static_cast<int>(number("vnodes", 64));
+        args.number("http-port", vn::service::kDefaultRouterHttpPort));
+    config.ring.vnodes = static_cast<int>(args.number("vnodes", 64));
     config.ring.seed =
-        static_cast<uint64_t>(number("ring-seed", 1));
-    config.health_period_ms = number("health-period-ms", 200.0);
-    config.hedge_on_overload = !flags.count("no-hedge");
-    if (flags.count("cache-dir"))
-        config.cache_dir = flags["cache-dir"];
+        static_cast<uint64_t>(args.number("ring-seed", 1));
+    config.health_period_ms = args.number("health-period-ms", 200.0);
+    config.hedge_on_overload = !args.has("no-hedge");
+    config.cache_dir = args.text("cache-dir", "");
 
-    std::string list = flags["backends"];
-    size_t start = 0;
-    while (start <= list.size()) {
-        size_t comma = list.find(',', start);
-        std::string item =
-            list.substr(start, comma == std::string::npos
-                                   ? std::string::npos
-                                   : comma - start);
+    std::istringstream list(args.text("backends", ""));
+    for (std::string item; std::getline(list, item, ',');)
         if (!item.empty())
             config.backends.push_back(parseBackend(item));
-        if (comma == std::string::npos)
-            break;
-        start = comma + 1;
-    }
 
     vn::router::Router router(std::move(config));
     router.start();

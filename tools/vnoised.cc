@@ -2,209 +2,17 @@
  * @file
  * vnoised: the batching simulation daemon, as a standalone binary.
  *
- * Equivalent to `vnoise_cli serve` with the same flags — packaged
- * separately so deployments can ship the daemon without the whole
- * characterization toolbox. See docs/serving.md for the protocol and
- * tuning guidance.
+ * The same daemon, flags and start-up as `vnoise_cli serve`
+ * (daemon.hh) — packaged separately so deployments can ship the daemon
+ * without the whole characterization toolbox. See docs/serving.md for
+ * the protocol and tuning guidance.
  */
 
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <map>
-#include <string>
-
-#include "service/server.hh"
-#include "vnoise/vnoise.hh"
-#include "vnoise_version.hh"
-
-namespace
-{
-
-void
-usage(std::FILE *out)
-{
-    std::fprintf(
-        out,
-        "usage: vnoised [--port N] [--http-port N] [--jobs N]\n"
-        "               [--queue-depth N] [--max-batch N]\n"
-        "               [--batch-window-ms N] [--config PATH]\n"
-        "               [--cache-dir P] [--no-cache]\n"
-        "               [--interactive-weight W] [--batch-weight W]\n"
-        "               [--promotion-age-ms N]\n"
-        "               [--stream-chunk-bytes N]\n"
-        "               [--stream-threshold-bytes N]\n"
-        "               [--advertise NAME] [--drain-timeout-s S]\n"
-        "               [--version] [--help]\n"
-        "Serves the voltage-noise simulator on 127.0.0.1 (default port "
-        "%d).\n"
-        "--http-port adds the HTTP/1.1 observability gateway "
-        "(default %d;\n"
-        "/metrics, /healthz, /readyz, POST /v1/query; 0 = ephemeral,\n"
-        "negative = disabled).\n"
-        "--advertise announces NAME in the ping handshake so a\n"
-        "vnoise_router lists this backend under it.\n"
-        "--interactive-weight/--batch-weight set the WFQ admission\n"
-        "shares (default 4:1); --promotion-age-ms bounds starvation\n"
-        "(default 1000, <= 0 disables promotion).\n"
-        "--stream-chunk-bytes sizes chunked-result frames (default\n"
-        "%zu); --stream-threshold-bytes streams results above it\n"
-        "(default 0 = just under the frame cap).\n"
-        "--drain-timeout-s bounds the graceful drain at shutdown\n"
-        "(default 30; <= 0 waits forever); a second SIGINT/SIGTERM\n"
-        "forces immediate exit.\n",
-        vn::service::kDefaultPort, vn::service::kDefaultHttpPort,
-        vn::service::kDefaultStreamChunkBytes);
-}
-
-} // namespace
+#include "daemon.hh"
 
 int
 main(int argc, char **argv)
 {
-    std::map<std::string, std::string> flags;
-    for (int i = 1; i < argc; ++i) {
-        std::string key = argv[i];
-        if (key == "--help" || key == "-h") {
-            usage(stdout);
-            return 0;
-        }
-        if (key == "--version") {
-            std::printf("vnoised %s (protocol %d)\n", VN_VERSION,
-                        vn::service::kProtocolVersion);
-            return 0;
-        }
-        if (key.rfind("--", 0) != 0) {
-            std::fprintf(stderr, "vnoised: unexpected argument '%s'\n",
-                         key.c_str());
-            usage(stderr);
-            return 2;
-        }
-        key = key.substr(2);
-        // A "-4"-style negative number is a value, not a flag
-        // (e.g. `--http-port -1` disables the gateway).
-        if (i + 1 < argc &&
-            (argv[i + 1][0] != '-' ||
-             (argv[i + 1][1] >= '0' && argv[i + 1][1] <= '9'))) {
-            flags[key] = argv[i + 1];
-            ++i;
-        } else {
-            flags[key] = "1";
-        }
-    }
-    for (const auto &[key, value] : flags) {
-        static const char *known[] = {"port", "http-port", "jobs",
-                                      "queue-depth", "max-batch",
-                                      "batch-window-ms", "config",
-                                      "cache-dir", "no-cache",
-                                      "interactive-weight",
-                                      "batch-weight",
-                                      "promotion-age-ms",
-                                      "stream-chunk-bytes",
-                                      "stream-threshold-bytes",
-                                      "advertise",
-                                      "drain-timeout-s"};
-        bool ok = false;
-        for (const char *k : known)
-            ok = ok || key == k;
-        if (!ok) {
-            std::fprintf(stderr, "vnoised: unknown option '--%s'\n",
-                         key.c_str());
-            usage(stderr);
-            return 2;
-        }
-    }
-    auto number = [&flags](const std::string &key, double fallback) {
-        auto it = flags.find(key);
-        if (it == flags.end())
-            return fallback;
-        try {
-            return std::stod(it->second);
-        } catch (const std::exception &) {
-            vn::fatal("vnoised: --", key, " expects a number, got '",
-                      it->second, "'");
-        }
-        return fallback;
-    };
-
-    vn::service::ServerConfig config;
-    config.port =
-        static_cast<int>(number("port", vn::service::kDefaultPort));
-    config.http_port = static_cast<int>(
-        number("http-port", vn::service::kDefaultHttpPort));
-    config.dispatcher.queue_depth =
-        static_cast<int>(number("queue-depth", 64));
-    config.dispatcher.max_batch =
-        static_cast<int>(number("max-batch", 32));
-    config.dispatcher.batch_window_ms =
-        static_cast<int>(number("batch-window-ms", 0));
-    config.dispatcher.wfq.interactive_weight = number(
-        "interactive-weight", config.dispatcher.wfq.interactive_weight);
-    config.dispatcher.wfq.batch_weight =
-        number("batch-weight", config.dispatcher.wfq.batch_weight);
-    config.dispatcher.wfq.promotion_age_ms = number(
-        "promotion-age-ms", config.dispatcher.wfq.promotion_age_ms);
-    config.stream_chunk_bytes = static_cast<size_t>(number(
-        "stream-chunk-bytes",
-        static_cast<double>(config.stream_chunk_bytes)));
-    config.stream_threshold_bytes = static_cast<size_t>(number(
-        "stream-threshold-bytes",
-        static_cast<double>(config.stream_threshold_bytes)));
-    if (flags.count("advertise"))
-        config.advertise = flags["advertise"];
-    config.drain_timeout_s = number("drain-timeout-s", 30.0);
-
-    vn::AnalysisContext ctx;
-    if (flags.count("config"))
-        ctx.chip_config = vn::loadChipConfig(flags["config"]);
-    ctx.campaign.jobs = static_cast<int>(number("jobs", 1));
-    if (ctx.campaign.jobs < 1)
-        vn::fatal("vnoised: --jobs must be >= 1");
-    ctx.campaign.cache_dir = flags.count("cache-dir")
-                                 ? flags["cache-dir"]
-                                 : vn::defaultCacheDir();
-    if (flags.count("no-cache"))
-        ctx.campaign.cache_dir.clear();
-
-    vn::CoreModel core;
-    vn::StressmarkKit kit = vn::StressmarkKit::cached(
-        core, vn::outputPath("vnoise_kit.cache"));
-    ctx.kit = &kit;
-
-    vn::service::Server server(ctx, config);
-    server.start();
-    server.installSignalHandlers();
-    std::printf("vnoised %s listening on 127.0.0.1:%d "
-                "(%d workers, queue depth %d)\n",
-                VN_VERSION, server.port(), server.dispatcher().threads(),
-                config.dispatcher.queue_depth);
-    if (!config.advertise.empty())
-        std::printf("vnoised: advertising as '%s' (scope %s)\n",
-                    config.advertise.c_str(),
-                    server.scopeFingerprint().c_str());
-    if (server.httpPort() >= 0)
-        std::printf("vnoised: HTTP gateway on 127.0.0.1:%d "
-                    "(/metrics, /healthz, /readyz, /v1/query)\n",
-                    server.httpPort());
-    std::fflush(stdout);
-    server.wait();
-
-    vn::service::ServiceCounters c = server.dispatcher().counters();
-    std::printf("vnoised: drained after %llu requests "
-                "(%llu ok, %llu errors, %llu batches, %zu cache hits)\n",
-                static_cast<unsigned long long>(c.received),
-                static_cast<unsigned long long>(c.completed_ok),
-                static_cast<unsigned long long>(c.completed_error),
-                static_cast<unsigned long long>(c.batches),
-                c.campaign.cache_hits);
-    if (!server.drainedCleanly()) {
-        std::fprintf(stderr,
-                     "vnoised: drain timed out; exiting without "
-                     "joining the wedged batcher\n");
-        std::fflush(nullptr);
-        // _Exit skips destructors: ~Dispatcher would block forever on
-        // the wedged batcher thread.
-        std::_Exit(1);
-    }
-    return 0;
+    return vn::tools::vnoisedMain(
+        vn::tools::Args("vnoised", argc, argv, 1));
 }
