@@ -6,15 +6,19 @@
  * wall-clock cost of every experiment harness.
  *
  * Besides the usual google-benchmark CLI, `--table[=OUT.json]` runs a
- * fixed one-lane-vs-batched throughput comparison at K in {1, 4, 8,
- * 16} (its "scalar" row and JSON field are the one-lane solver) and
- * (with a path) writes a machine-readable BENCH_solver.json for
- * the CI regression gate (scripts/bench_gate.py). The JSON includes
- * `calibration_ns` — the wall time of a fixed dependent-FMA reference
- * kernel — so the gate can compare machine-normalized ratios instead
- * of raw nanoseconds across runner generations. Table mode also
- * asserts that every batched lane reproduces the one-lane solver
- * bit-for-bit before trusting the timings.
+ * fixed lane-count throughput comparison at K in {1, 4, 8, 16} (K=1 is
+ * the one-lane solver every speedup is relative to) and (with a path)
+ * writes a machine-readable BENCH_solver.json for the CI regression
+ * gate (scripts/bench_gate.py). The configurations are timed in
+ * interleaved alternations, one of each K per alternation, so each
+ * alternation's K=8 speedup compares two adjacent measurements; the
+ * JSON's `speedup_k8` is their median, an in-process ratio the gate
+ * holds against a floor. Each row's ns/step/lane is its median over
+ * the alternations. The JSON also includes `calibration_ns`, the wall
+ * time of a fixed dependent-FMA reference kernel, by which the gate
+ * normalizes those rows. Table mode also asserts that every batched
+ * lane reproduces the one-lane solver bit-for-bit before trusting the
+ * timings.
  */
 
 #include <benchmark/benchmark.h>
@@ -196,43 +200,39 @@ calibrationNs()
     return elapsedNs(t0);
 }
 
-/** ns per step of the one-lane solver over `steps` steps. */
-double
-scalarNsPerStep(uint64_t steps)
+/**
+ * A K-lane solver on the zEC12 PDN with 20 A into core 0's port of
+ * every lane, warmed up by a tenth of `steps`.
+ */
+struct LaneBench
 {
-    vn::TransientSolver sim(pdn().netlist, 1e-9);
-    std::vector<double> load(pdn().portCount(), 0.0);
-    sim.initDcOperatingPoint(load);
-    load[0] = 20.0;
-    for (uint64_t i = 0; i < steps / 10; ++i) // warmup
-        sim.step(load);
-    auto t0 = std::chrono::steady_clock::now();
-    for (uint64_t i = 0; i < steps; ++i)
-        sim.step(load);
-    double ns = elapsedNs(t0);
-    benchmark::DoNotOptimize(sim.nodeVoltage(pdn().core_node[0]));
-    return ns / static_cast<double>(steps);
-}
+    LaneBench(size_t lanes, uint64_t steps)
+        : sim(pdn().netlist, 1e-9, lanes),
+          load(pdn().portCount() * lanes, 0.0)
+    {
+        sim.initDcOperatingPoint(load);
+        for (size_t k = 0; k < lanes; ++k)
+            load[k * pdn().portCount()] = 20.0;
+        for (uint64_t i = 0; i < steps / 10; ++i)
+            sim.step(load);
+    }
 
-/** ns per lane-step of the batched solver at K = `lanes`. */
-double
-batchedNsPerLaneStep(size_t lanes, uint64_t steps)
-{
-    vn::BatchedTransientSolver sim(pdn().netlist, 1e-9, lanes);
-    std::vector<double> load(pdn().portCount() * lanes, 0.0);
-    sim.initDcOperatingPoint(load);
-    for (size_t k = 0; k < lanes; ++k)
-        load[k * pdn().portCount()] = 20.0;
-    for (uint64_t i = 0; i < steps / 10; ++i) // warmup
-        sim.step(load);
-    auto t0 = std::chrono::steady_clock::now();
-    for (uint64_t i = 0; i < steps; ++i)
-        sim.step(load);
-    double ns = elapsedNs(t0);
-    benchmark::DoNotOptimize(
-        sim.nodeVoltage(lanes - 1, pdn().core_node[0]));
-    return ns / static_cast<double>(steps * lanes);
-}
+    /** ns per lane-step over `steps` steps. */
+    double
+    nsPerLaneStep(uint64_t steps)
+    {
+        auto t0 = std::chrono::steady_clock::now();
+        for (uint64_t i = 0; i < steps; ++i)
+            sim.step(load);
+        double ns = elapsedNs(t0);
+        benchmark::DoNotOptimize(
+            sim.nodeVoltage(sim.lanes() - 1, pdn().core_node[0]));
+        return ns / static_cast<double>(steps * sim.lanes());
+    }
+
+    vn::TransientSolver sim;
+    std::vector<double> load;
+};
 
 /**
  * Every lane of a 16-lane batch must match a one-lane solver fed the
@@ -284,32 +284,53 @@ verifyBitIdentity()
 int
 runTable(const char *json_path, uint64_t steps)
 {
-    std::printf("perf_solver --table: %llu steps/config, zEC12 PDN, "
-                "dt=1ns\n\n",
-                static_cast<unsigned long long>(steps));
+    constexpr size_t kConfigs = 4;
+    constexpr size_t ks[kConfigs] = {1, 4, 8, 16};
+    constexpr size_t kK8 = 2;
+    constexpr int kAlternations = 7;
+
+    std::printf("perf_solver --table: %llu steps/config x %d "
+                "alternations, zEC12 PDN, dt=1ns\n\n",
+                static_cast<unsigned long long>(steps), kAlternations);
 
     if (!verifyBitIdentity())
         return 1;
-    std::printf("bit-identity: 16 batched lanes == scalar over 2000 "
+    std::printf("bit-identity: 16 batched lanes == one lane over 2000 "
                 "steps ... OK\n\n");
 
     double calib = calibrationNs();
-    double scalar_ns = scalarNsPerStep(steps);
 
-    const size_t ks[] = {1, 4, 8, 16};
-    double batched_ns[4];
-    std::printf("%-28s %14s %10s\n", "config", "ns/step/lane", "speedup");
-    std::printf("%-28s %14.1f %10s\n", "scalar TransientSolver",
-                scalar_ns, "1.00x");
-    for (int i = 0; i < 4; ++i) {
-        batched_ns[i] = batchedNsPerLaneStep(ks[i], steps);
-        char name[40];
-        std::snprintf(name, sizeof(name), "batched K=%zu", ks[i]);
-        std::printf("%-28s %14.1f %9.2fx\n", name, batched_ns[i],
-                    scalar_ns / batched_ns[i]);
+    std::vector<LaneBench> benches;
+    benches.reserve(kConfigs);
+    for (size_t k : ks)
+        benches.emplace_back(k, steps);
+    std::vector<double> ns[kConfigs];
+    std::vector<double> k8_ratios;
+    for (int a = 0; a < kAlternations; ++a) {
+        double alternation[kConfigs];
+        for (size_t i = 0; i < kConfigs; ++i) {
+            alternation[i] = benches[i].nsPerLaneStep(steps);
+            ns[i].push_back(alternation[i]);
+        }
+        k8_ratios.push_back(alternation[0] / alternation[kK8]);
     }
-    double speedup_k8 = scalar_ns / batched_ns[2];
-    std::printf("\ncalibration: %.3e ns (reference FMA kernel)\n", calib);
+    double median_ns[kConfigs];
+    for (size_t i = 0; i < kConfigs; ++i)
+        median_ns[i] = vn::percentile(ns[i], 50.0);
+    const double speedup_k8 = vn::percentile(k8_ratios, 50.0);
+
+    std::printf("%-28s %14s %10s\n", "config (median)", "ns/step/lane",
+                "speedup");
+    for (size_t i = 0; i < kConfigs; ++i) {
+        char name[40];
+        std::snprintf(name, sizeof(name), "K=%zu", ks[i]);
+        std::printf("%-28s %14.1f %9.2fx\n", name, median_ns[i],
+                    median_ns[0] / median_ns[i]);
+    }
+    std::printf("\nspeedup_k8 (median of %d paired alternations): "
+                "%.2fx\n",
+                kAlternations, speedup_k8);
+    std::printf("calibration: %.3e ns (reference FMA kernel)\n", calib);
 
     if (json_path != nullptr) {
         std::FILE *f = std::fopen(json_path, "w");
@@ -318,18 +339,18 @@ runTable(const char *json_path, uint64_t steps)
             return 1;
         }
         std::fprintf(f, "{\n");
-        std::fprintf(f, "  \"schema\": \"vnoise-bench-solver-v1\",\n");
+        std::fprintf(f, "  \"schema\": \"vnoise-bench-solver-v2\",\n");
         std::fprintf(f, "  \"steps\": %llu,\n",
                      static_cast<unsigned long long>(steps));
+        std::fprintf(f, "  \"alternations\": %d,\n", kAlternations);
         std::fprintf(f, "  \"calibration_ns\": %.17g,\n", calib);
-        std::fprintf(f, "  \"scalar_ns_per_step\": %.17g,\n", scalar_ns);
-        std::fprintf(f, "  \"batched\": [\n");
-        for (int i = 0; i < 4; ++i) {
+        std::fprintf(f, "  \"lanes\": [\n");
+        for (size_t i = 0; i < kConfigs; ++i) {
             std::fprintf(f,
                          "    {\"lanes\": %zu, \"ns_per_step_lane\": "
-                         "%.17g, \"speedup_vs_scalar\": %.17g}%s\n",
-                         ks[i], batched_ns[i],
-                         scalar_ns / batched_ns[i], i < 3 ? "," : "");
+                         "%.17g, \"speedup_vs_one_lane\": %.17g}%s\n",
+                         ks[i], median_ns[i], median_ns[0] / median_ns[i],
+                         i + 1 < kConfigs ? "," : "");
         }
         std::fprintf(f, "  ],\n");
         std::fprintf(f, "  \"speedup_k8\": %.17g\n", speedup_k8);

@@ -3,15 +3,19 @@
 
 Compares a fresh ``perf_solver --table=BENCH_solver.json`` run against
 the committed baseline in ``bench/baselines/solver.json`` and fails
-(exit 1) if any configuration's ns/step regressed by more than the
-tolerance.
+(exit 1) on either of two regressions:
 
-Raw nanoseconds are not comparable across machines, so every ns/step
-figure is first normalized by the run's own ``calibration_ns`` — the
-wall time of a fixed, dependency-chained FMA kernel measured in the
-same process. The gated quantity is therefore "solver steps per
-calibration unit", which cancels CPU frequency and scheduler noise to
-first order and leaves actual codegen/algorithm regressions visible.
+* The lane speedup. ``speedup_k8`` is the median, over interleaved
+  alternations in one process, of one lane's ns per step divided by
+  K=8's ns per lane-step. Both sides of each ratio are measured back to
+  back on the same machine, so it needs no normalization; it must not
+  fall below the baseline's ``speedup_k8_floor``. The floor is set from
+  ten reruns of an unchanged tree, below the lowest of them.
+* A configuration's ns/step/lane. Raw nanoseconds are not comparable
+  across machines, so each is first divided by the run's own
+  ``calibration_ns``, the wall time of a fixed, dependency-chained FMA
+  kernel measured in the same process, and may not exceed the
+  baseline's by more than the tolerance.
 
 Usage:
     scripts/bench_gate.py CURRENT.json [BASELINE.json] [--tolerance PCT]
@@ -25,13 +29,14 @@ import json
 import sys
 from pathlib import Path
 
-SCHEMA = "vnoise-bench-solver-v1"
+SCHEMA = "vnoise-bench-solver-v2"
 DEFAULT_BASELINE = Path(__file__).resolve().parent.parent / \
     "bench" / "baselines" / "solver.json"
 DEFAULT_TOLERANCE = 15.0
 
 
 def load(path):
+    """The document at `path` and its calibration-normalized rows."""
     with open(path) as fh:
         doc = json.load(fh)
     if doc.get("schema") != SCHEMA:
@@ -40,20 +45,36 @@ def load(path):
     cal = float(doc["calibration_ns"])
     if cal <= 0:
         raise SystemExit(f"{path}: calibration_ns must be positive")
-    configs = {"scalar": float(doc["scalar_ns_per_step"]) / cal}
-    for entry in doc.get("batched", []):
-        configs[f"batched K={int(entry['lanes'])}"] = \
+    configs = {}
+    for entry in doc.get("lanes", []):
+        configs[f"K={int(entry['lanes'])}"] = \
             float(entry["ns_per_step_lane"]) / cal
-    return configs
+    return doc, configs
 
 
 def gate(current_path, baseline_path, tolerance_pct):
-    """Return the number of regressed configs (0 == gate passes)."""
-    current = load(current_path)
-    baseline = load(baseline_path)
+    """Return the number of failed checks (0 == gate passes)."""
+    current_doc, current = load(current_path)
+    baseline_doc, baseline = load(baseline_path)
+    if "speedup_k8_floor" not in baseline_doc:
+        raise SystemExit(f"{baseline_path}: no speedup_k8_floor")
     regressions = 0
     print(f"bench gate: {current_path} vs {baseline_path} "
           f"(tolerance {tolerance_pct:.0f}%)")
+
+    floor = float(baseline_doc["speedup_k8_floor"])
+    speedup = current_doc.get("speedup_k8")
+    if speedup is None:
+        print(f"{'speedup_k8':<24}{'MISSING':>12}  FAIL")
+        regressions += 1
+    else:
+        verdict = "ok"
+        if float(speedup) < floor:
+            verdict = "FAIL (below floor)"
+            regressions += 1
+        print(f"{'speedup_k8':<24}{float(speedup):>11.2f}x "
+              f"floor {floor:.2f}x  {verdict}")
+
     print(f"{'config':<24}{'baseline':>12}{'current':>12}{'delta':>9}")
     for name, base in sorted(baseline.items()):
         if name not in current:
@@ -71,55 +92,64 @@ def gate(current_path, baseline_path, tolerance_pct):
     for name in sorted(set(current) - set(baseline)):
         print(f"{name:<24}{'(new)':>12}{current[name]:>12.4e}{'':>9}  ok")
     if regressions:
-        print(f"bench gate: {regressions} config(s) regressed more than "
-              f"{tolerance_pct:.0f}% — failing")
+        print(f"bench gate: {regressions} check(s) failed — failing")
     else:
         print("bench gate: ok")
     return regressions
 
 
-def make_doc(scalar_ns, k8_ns, calibration_ns):
-    return {
+def make_doc(k1_ns, k8_ns, calibration_ns, speedup_k8=None, floor=None):
+    doc = {
         "schema": SCHEMA,
         "steps": 1000,
+        "alternations": 7,
         "calibration_ns": calibration_ns,
-        "scalar_ns_per_step": scalar_ns,
-        "batched": [
+        "lanes": [
+            {"lanes": 1, "ns_per_step_lane": k1_ns,
+             "speedup_vs_one_lane": 1.0},
             {"lanes": 8, "ns_per_step_lane": k8_ns,
-             "speedup_vs_scalar": scalar_ns / k8_ns},
+             "speedup_vs_one_lane": k1_ns / k8_ns},
         ],
-        "speedup_k8": scalar_ns / k8_ns,
+        "speedup_k8": k1_ns / k8_ns if speedup_k8 is None else speedup_k8,
     }
+    if floor is not None:
+        doc["speedup_k8_floor"] = floor
+    return doc
 
 
 def self_test(tmpdir):
     """Fabricate baseline/current pairs and assert the gate's verdicts."""
     tmpdir.mkdir(parents=True, exist_ok=True)
     base = tmpdir / "base.json"
-    base.write_text(json.dumps(make_doc(2000.0, 500.0, 1e8)))
+    base.write_text(json.dumps(make_doc(2000.0, 500.0, 1e8, floor=3.0)))
 
-    # Pass case: identical figures on a machine half as fast (both the
-    # benchmark and the calibration kernel take 2x the wall time, so
-    # the normalized ratios are unchanged).
-    ok = tmpdir / "ok.json"
-    ok.write_text(json.dumps(make_doc(4000.0, 1000.0, 2e8)))
-    if gate(ok, base, DEFAULT_TOLERANCE) != 0:
-        raise SystemExit("self-test: pass case unexpectedly failed")
+    def expect(name, doc, failures):
+        path = tmpdir / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        got = gate(path, base, DEFAULT_TOLERANCE)
+        if got != failures:
+            raise SystemExit(f"self-test: {name}: {got} failed check(s), "
+                             f"expected {failures}")
 
-    # Regression case: scalar 40% slower at the same calibration.
-    bad = tmpdir / "bad.json"
-    bad.write_text(json.dumps(make_doc(2800.0, 500.0, 1e8)))
-    if gate(bad, base, DEFAULT_TOLERANCE) == 0:
-        raise SystemExit("self-test: regression case unexpectedly passed")
-
-    # Missing-config case: baseline gates K=8, current dropped it.
-    dropped = tmpdir / "dropped.json"
-    doc = make_doc(2000.0, 500.0, 1e8)
-    doc["batched"] = []
-    dropped.write_text(json.dumps(doc))
-    if gate(dropped, base, DEFAULT_TOLERANCE) == 0:
-        raise SystemExit("self-test: missing-config case unexpectedly "
-                         "passed")
+    # Identical figures on a machine half as fast: both the benchmark
+    # and the calibration kernel take 2x the wall time, so the
+    # normalized rows are unchanged, and so is the speedup.
+    expect("pass", make_doc(4000.0, 1000.0, 2e8), 0)
+    # One lane 40% slower at the same calibration: the K=1 row fails;
+    # the speedup rises, which is no failure.
+    expect("one-lane-regression", make_doc(2800.0, 500.0, 1e8), 1)
+    # K=8 twice as slow per lane-step: its row fails, and so does the
+    # speedup, now 2.0x, below the floor.
+    expect("lost-speedup", make_doc(2000.0, 1000.0, 1e8), 2)
+    # The paired ratio below the floor though the row medians look
+    # fine: the floor alone fails.
+    expect("ratio-below-floor", make_doc(2000.0, 500.0, 1e8,
+                                         speedup_k8=2.9), 1)
+    # K=8 dropped from the table: its row and the speedup are missing.
+    dropped = make_doc(2000.0, 500.0, 1e8)
+    dropped["lanes"] = dropped["lanes"][:1]
+    del dropped["speedup_k8"]
+    expect("dropped", dropped, 2)
     print("bench gate self-test: ok")
 
 

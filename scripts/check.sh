@@ -6,9 +6,10 @@
 # fleet fault replay, run the kill-resume campaign replay (SIGKILL
 # mid-flight, --resume, byte-identical artifacts) under two seeds, run
 # the vnbench smoke run (pinned Fig. 9/12/13 digests and the serving
-# checks), and finish with the golden stdout digests of the fig7-fig15
-# and ext_* benches. This is the gate a change must pass before
-# merging.
+# checks), run the golden stdout digests of the fig7-fig15 and ext_*
+# benches, and finish by rebuilding at -march=x86-64-v3 (a target with
+# FMA) and checking the goldens there too. This is the gate a change
+# must pass before merging.
 # (CI additionally runs the serving tests, the kv parser's and the
 #  solver's under ASan+UBSan; locally:
 #  cmake --preset asan && cmake --build --preset asan &&
@@ -138,5 +139,23 @@ echo "== tier 9: golden fig/ext bench output digests =="
 # scripts/fig_digests.sha256, so a solver, chip or campaign refactor
 # cannot move any figure's output by one bit.
 scripts/fig_digests.sh
+
+echo "== tier 10: the goldens at -march=x86-64-v3 (a target with FMA) =="
+# The bit-identity contract needs every a * b - c rounded twice. The
+# build pins that with -ffp-contract=off (vn_util's public compile
+# options); without it this build fuses multiply-adds and fails all
+# three chip run digests and 6 of the 19 figure digests (fig7 and fig9
+# stdout, fig8's CSVs, both cache manifests). test_batched passes
+# either way: one lane and K lanes fuse alike.
+if grep -qw avx2 /proc/cpuinfo && grep -qw fma /proc/cpuinfo; then
+    cmake --preset x86-64-v3 >/dev/null
+    cmake --build --preset x86-64-v3 -j "$jobs"
+    ./build-v3/tests/test_chip \
+        --gtest_filter='ChipModelTest.RunResultsMatchGoldenDigests'
+    ./build-v3/tests/test_batched
+    scripts/fig_digests.sh build-v3
+else
+    echo "skipped: this CPU cannot run x86-64-v3 code (no AVX2 or FMA)"
+fi
 
 echo "== all checks passed =="

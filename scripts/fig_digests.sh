@@ -14,23 +14,32 @@
 # sorted by name, is digested with the rest, so the bytes the result
 # cache writes are pinned too.
 #
-# Usage: scripts/fig_digests.sh [--update]
-#   --update  rewrite scripts/fig_digests.sha256 from this build (only
-#             for a change that is meant to move a figure)
+# Usage: scripts/fig_digests.sh [--update] [BUILD_DIR]
+#   --update   rewrite scripts/fig_digests.sha256 from this build (only
+#              for a change that is meant to move a figure)
+#   BUILD_DIR  the build whose bench binaries to check, absolute or
+#              relative to the repo root (default: build, the default
+#              preset's; check.sh also checks build-v3, the x86-64-v3
+#              preset's)
 #
-# Expects the default preset's binaries in build/bench. Reuses
-# out/vnoise_kit.cache when present, so the stressmark search is paid
-# at most once.
+# Reuses out/vnoise_kit.cache when present, so the stressmark search is
+# paid at most once.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
 update=0
-case "${1:-}" in
-"") ;;
---update) update=1 ;;
-*) echo "usage: $0 [--update]" >&2; exit 2 ;;
-esac
+if [[ "${1:-}" == --update ]]; then
+    update=1
+    shift
+fi
+if [[ $# -gt 1 || "${1:-}" == -* ]]; then
+    echo "usage: $0 [--update] [BUILD_DIR]" >&2
+    exit 2
+fi
+build_dir="${1:-build}"
+[[ "$build_dir" == /* ]] || build_dir="$PWD/$build_dir"
+bin="$build_dir/bench"
 
 benches=(
     fig7_freq_sweep fig8_oscilloscope fig9_sync_sweep fig10_misalignment
@@ -49,7 +58,7 @@ if [[ -f out/vnoise_kit.cache && ! -f "$kit" ]]; then
 fi
 
 for bench in "${benches[@]}"; do
-    ./build/bench/"$bench" --jobs 3 --no-cache \
+    "$bin/$bench" --jobs 3 --no-cache \
         >"$VNOISE_OUT_DIR/$bench.stdout" 2>"$VNOISE_OUT_DIR/$bench.stderr"
 done
 
@@ -59,7 +68,7 @@ for bench in "${cached[@]}"; do
     rm -rf "$dir"
     for pass in cold warm; do
         out="$VNOISE_OUT_DIR/$bench.$pass"
-        ./build/bench/"$bench" --jobs 3 --cache-dir "$dir" \
+        "$bin/$bench" --jobs 3 --cache-dir "$dir" \
             >"$out.stdout" 2>"$out.stderr"
         if ! cmp -s "$VNOISE_OUT_DIR/$bench.stdout" "$out.stdout"; then
             echo "fig_digests: $bench stdout with a $pass cache" \

@@ -5,7 +5,6 @@
 #include <iomanip>
 
 #include "util/logging.hh"
-#include "util/stats.hh"
 
 namespace vn
 {
@@ -24,47 +23,132 @@ sharedUnitName(int unit)
 namespace
 {
 
+/** Observed units: the cores, then the shared units (nest/L3, MCU, GX). */
+constexpr int kObservedUnits = kNumCores + kNumSharedUnits;
+
+/**
+ * The solver unknowns of the observed units' nodes (node n is unknown
+ * n - 1; ground is not one), in observed-unit order.
+ */
+std::array<size_t, kObservedUnits>
+observedRows(const ChipPdn &pdn, const Factorization &fact)
+{
+    std::array<NodeId, kObservedUnits> nodes;
+    std::copy(pdn.core_node.begin(), pdn.core_node.end(), nodes.begin());
+    nodes[kNumCores + 0] = pdn.l3_node;
+    nodes[kNumCores + 1] = pdn.mcu_node;
+    nodes[kNumCores + 2] = pdn.gx_node;
+    std::array<size_t, kObservedUnits> rows;
+    for (int u = 0; u < kObservedUnits; ++u) {
+        if (nodes[u] == Netlist::ground ||
+            static_cast<size_t>(nodes[u] - 1) >= fact.numNodes())
+            panic("ChipModel: observed node ", nodes[u],
+                  " is not a PDN node");
+        rows[u] = static_cast<size_t>(nodes[u] - 1);
+    }
+    return rows;
+}
+
 /**
  * One unit's readout over the window from the statistics of its
- * voltage samples. Skitter::latchedPosition is monotone non-decreasing
- * in voltage, so the lowest and highest latch any sample touches are
- * the latches of the lowest and highest voltage: a fresh sticky
- * skitter fed the two extremes reads exactly what one fed every
- * sample would.
+ * `count` voltage samples. Skitter::latchedPosition is monotone
+ * non-decreasing in voltage, so the lowest and highest latch any
+ * sample touches are the latches of the lowest and highest voltage: a
+ * fresh sticky skitter fed the two extremes reads exactly what one fed
+ * every sample would. Like RunningStats, no sample reads as all zeros.
  */
 CoreRunResult
-unitReadout(const RunningStats &vstats, const SkitterParams &params)
+unitReadout(uint64_t count, double v_min, double v_max, double v_mean,
+            const SkitterParams &params)
 {
-    Skitter skitter(params);
-    if (vstats.count() > 0) {
-        skitter.sample(vstats.min());
-        skitter.sample(vstats.max());
-    }
     CoreRunResult readout;
+    Skitter skitter(params);
+    if (count > 0) {
+        skitter.sample(v_min);
+        skitter.sample(v_max);
+        readout.v_min = v_min;
+        readout.v_max = v_max;
+        readout.v_mean = v_mean;
+    }
     readout.p2p = skitter.percentP2p();
     readout.min_latch = skitter.minPosition();
     readout.max_latch = skitter.maxPosition();
-    readout.v_min = vstats.min();
-    readout.v_max = vstats.max();
-    readout.v_mean = vstats.mean();
     return readout;
 }
 
-/** Every core's and shared unit's readout over the window. */
+/**
+ * Lane-SoA window statistics of the observed units' voltages: the
+ * running minimum, maximum and mean of unit u in lane k sit at
+ * [u * lanes + k]. add() is RunningStats::add()'s arithmetic, less the
+ * variance no readout reads: the first sample sets min = max = x,
+ * later ones take std::min / std::max, and mean += (x - mean) / n.
+ * One count n serves every lane, since all lanes enter the window on
+ * the same step.
+ */
+class WindowStats
+{
+  public:
+    explicit WindowStats(size_t lanes)
+        : lanes_(lanes), min_(kObservedUnits * lanes, 0.0),
+          max_(kObservedUnits * lanes, 0.0),
+          mean_(kObservedUnits * lanes, 0.0)
+    {
+    }
+
+    /** Count one more sample for every lane; add() each unit's next. */
+    void nextSample() { ++count_; }
+
+    /** Unit u's sample of every lane, x[k] for lane k. */
+    [[gnu::always_inline]] void
+    add(int u, const double *x)
+    {
+        const size_t base = static_cast<size_t>(u) * lanes_;
+        double *min = &min_[base];
+        double *max = &max_[base];
+        double *mean = &mean_[base];
+        if (count_ == 1) {
+            std::copy_n(x, lanes_, min);
+            std::copy_n(x, lanes_, max);
+        } else {
+            for (size_t k = 0; k < lanes_; ++k) {
+                min[k] = std::min(min[k], x[k]);
+                max[k] = std::max(max[k], x[k]);
+            }
+        }
+        const double n = static_cast<double>(count_);
+        for (size_t k = 0; k < lanes_; ++k)
+            mean[k] += (x[k] - mean[k]) / n;
+    }
+
+    /** Unit u's readout in lane k. */
+    CoreRunResult
+    readout(int u, size_t k, const SkitterParams &params) const
+    {
+        const size_t i = static_cast<size_t>(u) * lanes_ + k;
+        return unitReadout(count_, min_[i], max_[i], mean_[i], params);
+    }
+
+  private:
+    size_t lanes_;
+    uint64_t count_ = 0;
+    std::vector<double> min_;
+    std::vector<double> max_;
+    std::vector<double> mean_;
+};
+
+/** Every core's and shared unit's readout in lane k over the window. */
 void
-fillReadouts(const ChipConfig &config,
-             const std::array<RunningStats, kNumCores> &core_vstats,
-             const std::array<RunningStats, kNumSharedUnits> &shared_vstats,
+fillReadouts(const ChipConfig &config, const WindowStats &stats, size_t k,
              ChipRunResult &result)
 {
     // Per-core skitters have variation-scaled sensitivity.
     for (int c = 0; c < kNumCores; ++c) {
         SkitterParams sp = config.skitter;
         sp.gain *= config.variation.core[c].skitter_gain_scale;
-        result.core[c] = unitReadout(core_vstats[c], sp);
+        result.core[c] = stats.readout(c, k, sp);
     }
     for (int u = 0; u < kNumSharedUnits; ++u)
-        result.shared[u] = unitReadout(shared_vstats[u], config.skitter);
+        result.shared[u] = stats.readout(kNumCores + u, k, config.skitter);
 }
 
 } // namespace
@@ -169,22 +253,16 @@ ChipModel::runBatch(
     std::vector<std::array<CoreActivity, kNumCores>> activity(
         workloads.begin(), workloads.end());
 
-    // Per-lane measurement state. Lanes never mix arithmetically: each
-    // samples its own voltages into its own stats/meter, so lane
-    // results are bit-identical to a one-lane run of the same
-    // workloads. Voltage statistics of the cores and of the shared
-    // units (nest/L3, MCU, GX) run from warmup on; the skitter
-    // readouts derive from them.
-    struct LaneState
-    {
-        std::array<RunningStats, kNumCores> vstats;
-        std::array<RunningStats, kNumSharedUnits> shared_vstats;
-        PowerMeter meter;
-    };
-    std::vector<LaneState> lane_state(lanes);
-
-    const std::array<NodeId, kNumSharedUnits> shared_nodes = {
-        pdn_.l3_node, pdn_.mcu_node, pdn_.gx_node};
+    // Lanes never mix arithmetically: each lane's statistics, meter,
+    // R-Unit verdict and traces see only its own voltages, with a
+    // one-lane run's arithmetic, so lane results are bit-identical to
+    // a one-lane run of the same workloads. Voltage statistics of the
+    // cores and of the shared units (nest/L3, MCU, GX) run from warmup
+    // on; the skitter readouts derive from them.
+    const auto unit_rows = observedRows(pdn_, *fact_);
+    const size_t vrm_row = fact_->numNodes();
+    WindowStats window(lanes);
+    std::vector<double> avg_watts(lanes, 0.0);
 
     TransientSolver sim(fact_, lanes);
 
@@ -210,6 +288,7 @@ ChipModel::runBatch(
     }
 
     unsigned trace_phase = 0;
+    std::array<const double *, kNumCores> core_v;
 
     const auto steps =
         static_cast<uint64_t>(std::ceil(duration / config_.dt));
@@ -218,30 +297,37 @@ ChipModel::runBatch(
         sim.step(currents);
         double t = sim.time();
 
-        for (size_t k = 0; k < lanes; ++k) {
-            LaneState &ls = lane_state[k];
-            ChipRunResult &result = results[k];
+        if (t >= options.warmup) {
+            window.nextSample();
+            for (int u = 0; u < kObservedUnits; ++u)
+                window.add(u, sim.solutionRow(unit_rows[u]));
+        }
 
-            for (int c = 0; c < kNumCores; ++c) {
-                double v = sim.nodeVoltage(k, pdn_.core_node[c]);
-                if (t >= options.warmup)
-                    ls.vstats[c].add(v);
-                if (!result.failed && critpath_.violates(v)) {
+        // The meter: the running mean of the input-rail power
+        // supply * |I_vrm| over every step, as PowerMeter keeps it.
+        const double *vrm_amps = sim.solutionRow(vrm_row);
+        const double samples = static_cast<double>(step + 1);
+        for (size_t k = 0; k < lanes; ++k)
+            avg_watts[k] +=
+                (supply_ * std::fabs(vrm_amps[k]) - avg_watts[k]) / samples;
+
+        // Per lane, the R-Unit checks the cores in ascending order and
+        // the first violation wins.
+        for (int c = 0; c < kNumCores; ++c)
+            core_v[c] = sim.solutionRow(unit_rows[c]);
+        const bool capture = options.capture_traces && trace_phase == 0;
+        for (size_t k = 0; k < lanes; ++k) {
+            ChipRunResult &result = results[k];
+            for (int c = 0; c < kNumCores && !result.failed; ++c) {
+                if (critpath_.violates(core_v[c][k])) {
                     result.failed = true;
                     result.failure_time = t;
                     result.failing_core = c;
                 }
-                if (options.capture_traces && trace_phase == 0)
-                    result.traces[c].push(v);
             }
-
-            if (t >= options.warmup) {
-                for (int u = 0; u < kNumSharedUnits; ++u)
-                    ls.shared_vstats[u].add(
-                        sim.nodeVoltage(k, shared_nodes[u]));
-            }
-
-            ls.meter.sample(supply_, std::fabs(sim.sourceCurrent(k, 0)));
+            if (capture)
+                for (int c = 0; c < kNumCores; ++c)
+                    result.traces[c].push(core_v[c][k]);
         }
 
         if (options.capture_traces &&
@@ -251,9 +337,8 @@ ChipModel::runBatch(
     }
 
     for (size_t k = 0; k < lanes; ++k) {
-        const LaneState &ls = lane_state[k];
-        fillReadouts(config_, ls.vstats, ls.shared_vstats, results[k]);
-        results[k].avg_power_watts = ls.meter.averageWatts();
+        fillReadouts(config_, window, k, results[k]);
+        results[k].avg_power_watts = avg_watts[k];
     }
     return results;
 }
@@ -293,6 +378,8 @@ ChipModel::scanFailures(const std::array<CoreActivity, kNumCores> &workloads,
     fill_currents(false);
     sim.initDcOperatingPoint(currents, supplies);
 
+    const auto unit_rows = observedRows(pdn_, *fact_);
+    std::array<const double *, kNumCores> core_v;
     std::vector<FailureOutcome> outcomes(lanes);
     size_t pending = lanes;
     const auto steps =
@@ -302,13 +389,14 @@ ChipModel::scanFailures(const std::array<CoreActivity, kNumCores> &workloads,
         sim.step(currents, supplies);
         const double t = sim.time();
 
+        for (int c = 0; c < kNumCores; ++c)
+            core_v[c] = sim.solutionRow(unit_rows[c]);
         for (size_t k = 0; k < lanes; ++k) {
             FailureOutcome &outcome = outcomes[k];
             if (outcome.failed)
                 continue;
             for (int c = 0; c < kNumCores; ++c) {
-                if (critpath_.violates(
-                        sim.nodeVoltage(k, pdn_.core_node[c]))) {
+                if (critpath_.violates(core_v[c][k])) {
                     outcome.failed = true;
                     outcome.failure_time = t;
                     outcome.failing_core = c;

@@ -142,6 +142,19 @@ class TransientSolver
     double inductorCurrent(size_t i) const;
     double sourceCurrent(size_t i) const;
 
+    /**
+     * The lanes() contiguous values of unknown `unknown` (see the
+     * unknown ordering above: node n is unknown n - 1, voltage source i
+     * is unknown numNodes() + i) at the current time, lane k at [k].
+     * Unchecked: it serves loops that read a few unknowns of every lane
+     * each step, which validate their indices once.
+     */
+    const double *
+    solutionRow(size_t unknown) const
+    {
+        return solution_.data() + unknown * lanes_;
+    }
+
   private:
     /** step() over `FixedLanes` lanes, or lanes() when it is 0. */
     template <size_t FixedLanes>

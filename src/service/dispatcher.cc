@@ -26,15 +26,21 @@ millisecondsSince(Dispatcher::Clock::time_point start,
 
 } // namespace
 
+void
+DispatcherConfig::validate() const
+{
+    if (queue_depth < 1)
+        fatal("Dispatcher: queue_depth must be >= 1");
+    if (max_batch < 1)
+        fatal("Dispatcher: max_batch must be >= 1");
+}
+
 Dispatcher::Dispatcher(const AnalysisContext &base,
                        DispatcherConfig config)
     : base_(base), config_(config), pool_(base.campaign.jobs),
       queue_(config.wfq)
 {
-    if (config_.queue_depth < 1)
-        fatal("Dispatcher: queue_depth must be >= 1");
-    if (config_.max_batch < 1)
-        fatal("Dispatcher: max_batch must be >= 1");
+    config_.validate();
     // Campaigns constructed by batches run on the shared pool; a
     // private per-campaign pool would defeat worker sharing.
     base_.campaign.pool = &pool_;

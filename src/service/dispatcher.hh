@@ -111,6 +111,12 @@ struct DispatcherConfig
 
     /** Fault-injection hook; nullptr (the default) injects nothing. */
     FaultHook *fault = nullptr;
+
+    /**
+     * fatal() unless the knobs are in range (queue_depth and max_batch
+     * >= 1). The Dispatcher's constructor calls it.
+     */
+    void validate() const;
 };
 
 /** Cumulative serving counters (served by the `stats` verb). */

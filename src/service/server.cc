@@ -12,16 +12,26 @@
 namespace vn::service
 {
 
+void
+ServerConfig::validate() const
+{
+    if (port < 0 || port > 65535)
+        fatal("Server: port must be in [0, 65535]");
+    if (http_port > 65535)
+        fatal("Server: http_port must be in [0, 65535], or negative "
+              "for no gateway");
+    if (max_frame_bytes < 64)
+        fatal("Server: max_frame_bytes must be >= 64");
+    dispatcher.validate();
+}
+
 Server::Server(const AnalysisContext &ctx, ServerConfig config)
     : config_(config),
       listener_("Server", [this](int fd, uint64_t index) {
           handleConnection(fd, index);
       })
 {
-    if (config_.port < 0 || config_.port > 65535)
-        fatal("Server: port must be in [0, 65535]");
-    if (config_.max_frame_bytes < 64)
-        fatal("Server: max_frame_bytes must be >= 64");
+    config_.validate();
     // Both listeners and the dispatcher share one registry, so the
     // framed `stats` verb and `/metrics` report the same numbers.
     config_.dispatcher.metrics = &metrics_;

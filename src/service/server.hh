@@ -95,6 +95,14 @@ struct ServerConfig
      * its ring and metrics; empty means "derive from the port".
      */
     std::string advertise;
+
+    /**
+     * fatal() unless the knobs are in range: the ports, the frame cap
+     * and the dispatcher's (DispatcherConfig::validate()). The Server's
+     * constructor calls it, and vnoised calls it before it pays for
+     * the stressmark kit.
+     */
+    void validate() const;
 };
 
 /** Frame/verb-level error counters (server side of `stats`). */

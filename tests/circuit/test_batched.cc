@@ -38,6 +38,7 @@
 #include "circuit/factorization.hh"
 #include "circuit/netlist.hh"
 #include "circuit/transient.hh"
+#include "measure/meter.hh"
 #include "util/logging.hh"
 
 namespace
@@ -344,18 +345,22 @@ firstBitMismatch(const double *a, const double *b, size_t n,
 }
 
 /**
- * Drive 11 stimulus lanes for `steps` steps through the transient (or
+ * Drive 17 stimulus lanes for `steps` steps through the transient (or
  * DC) system of `net` at `dt`. At every step, check byte-for-byte
  * that LuSolver's scalar solveInto() of each lane, and its
- * solveLanesInto() over the first K lanes for K in {1, 3, 8, 11},
- * equal the dense oracle's solution.
+ * solveLanesInto() over the first K lanes, equal the dense oracle's
+ * solution. The K cover every chunk shape of the lane kernel: one
+ * lane, scalar lanes only (3), whole 4-lane vectors only (4, 8),
+ * vectors plus scalar lanes (5, 7, 11), and several 8-lane chunks
+ * with and without a remainder (12, 16, 17).
  */
 void
 expectSparseMatchesDense(const vn::Netlist &net, double dt, bool dc,
                          uint64_t steps)
 {
-    constexpr size_t kLanes = 11;
-    const std::array<size_t, 4> lane_counts = {1, 3, 8, 11};
+    constexpr size_t kLanes = 17;
+    const std::array<size_t, 10> lane_counts = {1, 3,  4,  5,  7,
+                                                8, 11, 12, 16, 17};
     auto fact = vn::FactorizationCache::global().get(net, dt);
     const vn::Factorization &f = *fact;
     const vn::LuSolver<double> &lu = dc ? f.dcLu() : f.transientLu();
@@ -554,23 +559,107 @@ expectSameChipResult(const vn::ChipRunResult &a,
     }
 }
 
-TEST(BatchedBitIdentityTest, ChipRunBatchMatchesScalarRuns)
+/**
+ * A `lanes`-lane runBatch() of distinct wave workloads, with traces,
+ * must equal a one-lane run() of each lane's workloads bit for bit.
+ */
+void
+expectRunBatchMatchesRuns(size_t lanes, double duration)
 {
     vn::ChipModel chip;
     std::vector<std::array<vn::CoreActivity, vn::kNumCores>> workloads;
-    for (int variant = 0; variant < 4; ++variant)
-        workloads.push_back(waveWorkloads(chip, variant));
+    for (size_t variant = 0; variant < lanes; ++variant)
+        workloads.push_back(waveWorkloads(chip, static_cast<int>(variant)));
 
     vn::RunOptions options;
     options.capture_traces = true;
     options.trace_decimation = 3;
 
-    auto batched = chip.runBatch(workloads, 2e-6, options);
+    auto batched = chip.runBatch(workloads, duration, options);
     ASSERT_EQ(batched.size(), workloads.size());
     for (size_t i = 0; i < workloads.size(); ++i) {
         SCOPED_TRACE("lane " + std::to_string(i));
-        auto scalar = chip.run(workloads[i], 2e-6, options);
+        auto scalar = chip.run(workloads[i], duration, options);
         expectSameChipResult(scalar, batched[i]);
+    }
+}
+
+TEST(BatchedBitIdentityTest, ChipRunBatchMatchesScalarRuns)
+{
+    expectRunBatchMatchesRuns(4, 2e-6);
+}
+
+TEST(BatchedBitIdentityTest, EightLaneChipRunBatchMatchesScalarRuns)
+{
+    // Two whole 4-lane vectors per substitution row: the width of the
+    // Fig. 13 mapping batches.
+    expectRunBatchMatchesRuns(8, 2e-6);
+}
+
+TEST(BatchedBitIdentityTest, WindowShorterThanWarmupHasNoStatistics)
+{
+    // No step reaches the measurement window, so no unit has a voltage
+    // sample and every readout stays zero, in every lane. The meter
+    // averages every step regardless: check it against a PowerMeter
+    // fed by a one-lane solver driven as the chip drives its ports.
+    vn::ChipModel chip;
+    const vn::ChipConfig &config = chip.config();
+    const vn::RunOptions options;
+    const double duration = 0.6 * options.warmup;
+    std::vector<std::array<vn::CoreActivity, vn::kNumCores>> workloads = {
+        waveWorkloads(chip, 1), waveWorkloads(chip, 2),
+        waveWorkloads(chip, 3)};
+
+    auto batched = chip.runBatch(workloads, duration, options);
+    ASSERT_EQ(batched.size(), workloads.size());
+    for (size_t i = 0; i < workloads.size(); ++i) {
+        SCOPED_TRACE("lane " + std::to_string(i));
+        const vn::ChipRunResult &r = batched[i];
+        expectSameChipResult(chip.run(workloads[i], duration, options), r);
+        auto expect_empty = [](const vn::CoreRunResult &unit) {
+            EXPECT_TRUE(sameBits(unit.p2p, 0.0));
+            EXPECT_TRUE(sameBits(unit.v_min, 0.0));
+            EXPECT_TRUE(sameBits(unit.v_max, 0.0));
+            EXPECT_TRUE(sameBits(unit.v_mean, 0.0));
+        };
+        for (const auto &core : r.core)
+            expect_empty(core);
+        for (const auto &unit : r.shared)
+            expect_empty(unit);
+
+        std::array<vn::CoreActivity, vn::kNumCores> activity =
+            workloads[i];
+        const vn::ChipPdn &pdn = chip.pdn();
+        std::vector<double> currents(pdn.portCount(), 0.0);
+        auto fill_currents = [&](bool advance) {
+            for (int c = 0; c < vn::kNumCores; ++c) {
+                const double power = advance
+                                         ? activity[c].advance(config.dt)
+                                         : activity[c].currentPower();
+                currents[pdn.core_port[c]] =
+                    power * config.power_unit_amps *
+                    config.variation.core[c].power_scale;
+            }
+            currents[pdn.l3_port] = config.nest_amps;
+            currents[pdn.mcu_port] = config.mcu_amps;
+            currents[pdn.gx_port] = config.gx_amps;
+        };
+        vn::TransientSolver sim(chip.factorization());
+        fill_currents(false);
+        sim.initDcOperatingPoint(currents);
+        vn::PowerMeter meter;
+        const auto steps =
+            static_cast<uint64_t>(std::ceil(duration / config.dt));
+        for (uint64_t step = 0; step < steps; ++step) {
+            fill_currents(true);
+            sim.step(currents);
+            meter.sample(chip.supplyVoltage(),
+                         std::fabs(sim.sourceCurrent(0)));
+        }
+        ASSERT_GT(meter.count(), 0u);
+        EXPECT_GT(r.avg_power_watts, 0.0);
+        EXPECT_TRUE(sameBits(r.avg_power_watts, meter.averageWatts()))
+            << r.avg_power_watts << " vs " << meter.averageWatts();
     }
 }
 

@@ -108,9 +108,10 @@ vnoisedMain(const Args &args)
     if (!args.has("no-cache"))
         ctx.campaign.cache_dir = args.text("cache-dir", defaultCacheDir());
 
-    // Every flag has been read, so a bad one failed above: only now
-    // pay for the kit (a fresh output directory runs the ~10 s
-    // sequence search).
+    // Every flag has been read and every range checked, so a bad one
+    // failed above: only now pay for the kit (a fresh output directory
+    // runs the ~10 s sequence search).
+    config.validate();
     CoreModel core;
     StressmarkKit kit =
         StressmarkKit::cached(core, outputPath("vnoise_kit.cache"));

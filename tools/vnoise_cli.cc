@@ -134,6 +134,7 @@ int
 cmdSweep(const Args &args)
 {
     AnalysisContext ctx;
+    ctx.chip_config = chipConfig(args);
     ctx.window = 20e-6;
     runtime::CampaignStats stats;
     ctx.campaign = campaignOptions(args);
@@ -229,6 +230,7 @@ cmdMap(const Args &args)
     if (workloads < 1 || workloads > kNumCores)
         fatal("vnoise_cli map: --workloads must be in [1, 6]");
     AnalysisContext ctx;
+    ctx.chip_config = chipConfig(args);
     ctx.window = 16e-6;
     runtime::CampaignStats stats;
     ctx.campaign = campaignOptions(args);
@@ -256,8 +258,8 @@ cmdSpectrum(const Args &args)
 {
     StressmarkSpec spec;
     spec.stimulus_freq_hz = args.number("freq", 2.4e6);
+    ChipModel chip(chipConfig(args));
     Stressmark sm = kit().make(spec);
-    ChipModel chip;
     RunOptions options;
     options.capture_traces = true;
     std::array<CoreActivity, kNumCores> w = {
