@@ -6,24 +6,32 @@
  * wall-clock cost of every experiment harness.
  *
  * Besides the usual google-benchmark CLI, `--table[=OUT.json]` runs a
- * fixed lane-count throughput comparison at K in {1, 4, 8, 16} (K=1 is
- * the one-lane solver every speedup is relative to) and (with a path)
- * writes a machine-readable BENCH_solver.json for the CI regression
- * gate (scripts/bench_gate.py). The configurations are timed in
- * interleaved alternations, one of each K per alternation, so each
- * alternation's K=8 speedup compares two adjacent measurements; the
- * JSON's `speedup_k8` is their median, an in-process ratio the gate
- * holds against a floor. Each row's ns/step/lane is its median over
- * the alternations. The JSON also includes `calibration_ns`, the wall
- * time of a fixed dependent-FMA reference kernel, by which the gate
- * normalizes those rows. Table mode also asserts that every batched
- * lane reproduces the one-lane solver bit-for-bit before trusting the
+ * fixed lane-count throughput comparison at K in {1, 2, 3, 4, 8, 16}
+ * (K=1 is the one-lane solver every speedup is relative to) and (with
+ * a path) writes a machine-readable BENCH_solver.json for the CI
+ * regression gate (scripts/bench_gate.py). Beside the solver it times
+ * the whole chip lane-step (ChipModel::runBatch: activity advance,
+ * currents, the solve, window statistics, meter and R-Unit) at K=1 and
+ * K=8. The configurations are timed in interleaved alternations, one
+ * of each per alternation, so each alternation's ratios compare
+ * adjacent measurements: `speedup_k8`, one lane's ns per step over
+ * K=8's per lane-step, which the gate holds against a floor, and
+ * `chip_solver_k1` / `chip_solver_k8`, the chip lane-step over the
+ * solver step at the same K (1 + the non-solve share), of which the
+ * gate holds the K=8 one under a ceiling. The JSON has the median of
+ * each over the alternations, and each row's median ns/step/lane. It
+ * also includes `calibration_ns`, the wall time of a fixed
+ * dependent-FMA reference kernel, by which the gate normalizes the
+ * solver rows. Table mode also asserts that every batched lane
+ * reproduces the one-lane solver bit-for-bit before trusting the
  * timings.
  */
 
 #include <benchmark/benchmark.h>
 
+#include <array>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -235,6 +243,46 @@ struct LaneBench
 };
 
 /**
+ * K chip co-simulations as lanes of one runBatch() of `steps` steps.
+ * Lane k's core c runs one of three schedules, (k + c) mod 3, as the
+ * Fig. 13 mapping batches do: idle, a 2.4 MHz max-power square wave or
+ * a medium-power one, so every batch holds three distinct schedules.
+ */
+struct ChipBench
+{
+    ChipBench(size_t lanes, uint64_t steps) : duration(steps * 1e-9)
+    {
+        const vn::CoreActivity schedules[3] = {
+            chip.idleActivity(),
+            vn::CoreActivity({{3.6, 208e-9}, {1.3, 208e-9}}),
+            vn::CoreActivity({{2.4, 208e-9}, {1.3, 208e-9}})};
+        for (size_t k = 0; k < lanes; ++k) {
+            std::array<vn::CoreActivity, vn::kNumCores> set = {
+                schedules[k % 3],       schedules[(k + 1) % 3],
+                schedules[(k + 2) % 3], schedules[k % 3],
+                schedules[(k + 1) % 3], schedules[(k + 2) % 3]};
+            workloads.push_back(set);
+        }
+    }
+
+    /** ns per lane-step of one runBatch() over the whole duration. */
+    double
+    nsPerLaneStep()
+    {
+        auto t0 = std::chrono::steady_clock::now();
+        auto runs = chip.runBatch(workloads, duration);
+        double ns = elapsedNs(t0);
+        benchmark::DoNotOptimize(runs.back().avg_power_watts);
+        const double steps = std::ceil(duration / chip.config().dt);
+        return ns / (steps * static_cast<double>(workloads.size()));
+    }
+
+    vn::ChipModel chip;
+    double duration;
+    std::vector<std::array<vn::CoreActivity, vn::kNumCores>> workloads;
+};
+
+/**
  * Every lane of a 16-lane batch must match a one-lane solver fed the
  * same stimulus bit-for-bit after 2000 steps. Returns false (and
  * complains) on any divergence — the gate must not bless timings from
@@ -284,9 +332,12 @@ verifyBitIdentity()
 int
 runTable(const char *json_path, uint64_t steps)
 {
-    constexpr size_t kConfigs = 4;
-    constexpr size_t ks[kConfigs] = {1, 4, 8, 16};
-    constexpr size_t kK8 = 2;
+    constexpr size_t kConfigs = 6;
+    constexpr size_t ks[kConfigs] = {1, 2, 3, 4, 8, 16};
+    constexpr size_t kK8 = 4;
+    constexpr size_t kChipConfigs = 2;
+    constexpr size_t chip_ks[kChipConfigs] = {1, 8};
+    constexpr size_t chip_solver[kChipConfigs] = {0, kK8};
     constexpr int kAlternations = 7;
 
     std::printf("perf_solver --table: %llu steps/config x %d "
@@ -304,8 +355,16 @@ runTable(const char *json_path, uint64_t steps)
     benches.reserve(kConfigs);
     for (size_t k : ks)
         benches.emplace_back(k, steps);
+    std::vector<ChipBench> chips;
+    chips.reserve(kChipConfigs);
+    for (size_t k : chip_ks) {
+        chips.emplace_back(k, steps);
+        chips.back().nsPerLaneStep(); // warm-up
+    }
     std::vector<double> ns[kConfigs];
+    std::vector<double> chip_ns[kChipConfigs];
     std::vector<double> k8_ratios;
+    std::vector<double> chip_ratios[kChipConfigs];
     for (int a = 0; a < kAlternations; ++a) {
         double alternation[kConfigs];
         for (size_t i = 0; i < kConfigs; ++i) {
@@ -313,11 +372,22 @@ runTable(const char *json_path, uint64_t steps)
             ns[i].push_back(alternation[i]);
         }
         k8_ratios.push_back(alternation[0] / alternation[kK8]);
+        for (size_t j = 0; j < kChipConfigs; ++j) {
+            const double chip = chips[j].nsPerLaneStep();
+            chip_ns[j].push_back(chip);
+            chip_ratios[j].push_back(chip / alternation[chip_solver[j]]);
+        }
     }
     double median_ns[kConfigs];
     for (size_t i = 0; i < kConfigs; ++i)
         median_ns[i] = vn::percentile(ns[i], 50.0);
     const double speedup_k8 = vn::percentile(k8_ratios, 50.0);
+    double median_chip_ns[kChipConfigs];
+    double chip_solver_ratio[kChipConfigs];
+    for (size_t j = 0; j < kChipConfigs; ++j) {
+        median_chip_ns[j] = vn::percentile(chip_ns[j], 50.0);
+        chip_solver_ratio[j] = vn::percentile(chip_ratios[j], 50.0);
+    }
 
     std::printf("%-28s %14s %10s\n", "config (median)", "ns/step/lane",
                 "speedup");
@@ -327,9 +397,19 @@ runTable(const char *json_path, uint64_t steps)
         std::printf("%-28s %14.1f %9.2fx\n", name, median_ns[i],
                     median_ns[0] / median_ns[i]);
     }
+    for (size_t j = 0; j < kChipConfigs; ++j) {
+        char name[40];
+        std::snprintf(name, sizeof(name), "chip lane-step K=%zu",
+                      chip_ks[j]);
+        std::printf("%-28s %14.1f\n", name, median_chip_ns[j]);
+    }
     std::printf("\nspeedup_k8 (median of %d paired alternations): "
                 "%.2fx\n",
                 kAlternations, speedup_k8);
+    for (size_t j = 0; j < kChipConfigs; ++j)
+        std::printf("chip_solver_k%zu (chip lane-step / solver step, "
+                    "median of %d): %.3f\n",
+                    chip_ks[j], kAlternations, chip_solver_ratio[j]);
     std::printf("calibration: %.3e ns (reference FMA kernel)\n", calib);
 
     if (json_path != nullptr) {
@@ -353,6 +433,18 @@ runTable(const char *json_path, uint64_t steps)
                          i + 1 < kConfigs ? "," : "");
         }
         std::fprintf(f, "  ],\n");
+        std::fprintf(f, "  \"chip\": [\n");
+        for (size_t j = 0; j < kChipConfigs; ++j) {
+            std::fprintf(f,
+                         "    {\"lanes\": %zu, \"ns_per_step_lane\": "
+                         "%.17g}%s\n",
+                         chip_ks[j], median_chip_ns[j],
+                         j + 1 < kChipConfigs ? "," : "");
+        }
+        std::fprintf(f, "  ],\n");
+        for (size_t j = 0; j < kChipConfigs; ++j)
+            std::fprintf(f, "  \"chip_solver_k%zu\": %.17g,\n", chip_ks[j],
+                         chip_solver_ratio[j]);
         std::fprintf(f, "  \"speedup_k8\": %.17g\n", speedup_k8);
         std::fprintf(f, "}\n");
         std::fclose(f);

@@ -3,7 +3,7 @@
 
 Compares a fresh ``perf_solver --table=BENCH_solver.json`` run against
 the committed baseline in ``bench/baselines/solver.json`` and fails
-(exit 1) on either of two regressions:
+(exit 1) on any of three regressions:
 
 * The lane speedup. ``speedup_k8`` is the median, over interleaved
   alternations in one process, of one lane's ns per step divided by
@@ -11,6 +11,11 @@ the committed baseline in ``bench/baselines/solver.json`` and fails
   back on the same machine, so it needs no normalization; it must not
   fall below the baseline's ``speedup_k8_floor``. The floor is set from
   ten reruns of an unchanged tree, below the lowest of them.
+* The non-solve share. ``chip_solver_k8`` is the median, over the same
+  alternations, of the whole chip lane-step (activity, currents, solve,
+  statistics, meter, R-Unit) divided by the solver step, both at K=8;
+  it must not rise above the baseline's ``chip_solver_k8_ceiling``, set
+  from ten reruns of an unchanged tree, above the highest of them.
 * A configuration's ns/step/lane. Raw nanoseconds are not comparable
   across machines, so each is first divided by the run's own
   ``calibration_ns``, the wall time of a fixed, dependency-chained FMA
@@ -75,6 +80,20 @@ def gate(current_path, baseline_path, tolerance_pct):
         print(f"{'speedup_k8':<24}{float(speedup):>11.2f}x "
               f"floor {floor:.2f}x  {verdict}")
 
+    if "chip_solver_k8_ceiling" in baseline_doc:
+        ceiling = float(baseline_doc["chip_solver_k8_ceiling"])
+        share = current_doc.get("chip_solver_k8")
+        if share is None:
+            print(f"{'chip_solver_k8':<24}{'MISSING':>12}  FAIL")
+            regressions += 1
+        else:
+            verdict = "ok"
+            if float(share) > ceiling:
+                verdict = "FAIL (above ceiling)"
+                regressions += 1
+            print(f"{'chip_solver_k8':<24}{float(share):>12.3f} "
+                  f"ceiling {ceiling:.3f}  {verdict}")
+
     print(f"{'config':<24}{'baseline':>12}{'current':>12}{'delta':>9}")
     for name, base in sorted(baseline.items()):
         if name not in current:
@@ -98,7 +117,8 @@ def gate(current_path, baseline_path, tolerance_pct):
     return regressions
 
 
-def make_doc(k1_ns, k8_ns, calibration_ns, speedup_k8=None, floor=None):
+def make_doc(k1_ns, k8_ns, calibration_ns, speedup_k8=None, floor=None,
+             chip_solver_k8=1.1, ceiling=None):
     doc = {
         "schema": SCHEMA,
         "steps": 1000,
@@ -112,8 +132,12 @@ def make_doc(k1_ns, k8_ns, calibration_ns, speedup_k8=None, floor=None):
         ],
         "speedup_k8": k1_ns / k8_ns if speedup_k8 is None else speedup_k8,
     }
+    if chip_solver_k8 is not None:
+        doc["chip_solver_k8"] = chip_solver_k8
     if floor is not None:
         doc["speedup_k8_floor"] = floor
+    if ceiling is not None:
+        doc["chip_solver_k8_ceiling"] = ceiling
     return doc
 
 
@@ -121,7 +145,8 @@ def self_test(tmpdir):
     """Fabricate baseline/current pairs and assert the gate's verdicts."""
     tmpdir.mkdir(parents=True, exist_ok=True)
     base = tmpdir / "base.json"
-    base.write_text(json.dumps(make_doc(2000.0, 500.0, 1e8, floor=3.0)))
+    base.write_text(json.dumps(make_doc(2000.0, 500.0, 1e8, floor=3.0,
+                                        ceiling=1.3)))
 
     def expect(name, doc, failures):
         path = tmpdir / f"{name}.json"
@@ -150,6 +175,14 @@ def self_test(tmpdir):
     dropped["lanes"] = dropped["lanes"][:1]
     del dropped["speedup_k8"]
     expect("dropped", dropped, 2)
+    # The chip lane-step 40% above the solver step: the non-solve share
+    # grew past the ceiling, though every solver row is unchanged.
+    expect("non-solve-share", make_doc(2000.0, 500.0, 1e8,
+                                       chip_solver_k8=1.4), 1)
+    # A table without the chip ratio fails against a baseline with a
+    # ceiling.
+    expect("no-chip-ratio", make_doc(2000.0, 500.0, 1e8,
+                                     chip_solver_k8=None), 1)
     print("bench gate self-test: ok")
 
 

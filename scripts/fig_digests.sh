@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Golden output digests of the figure and extension benches: runs
-# fig7-fig15 and six ext_* studies at a pinned configuration (--jobs 3
-# --no-cache, VNOISE_OUT_DIR=out/golden relative to the repo root, so
+# table1_epi, fig7-fig15, eight ext_* studies and three vnoise_cli
+# commands (sweep, sweep --sync, map) at a pinned configuration (--jobs
+# 3 --no-cache, VNOISE_OUT_DIR=out/golden relative to the repo root, so
 # fig8's "traces written to" line is stable) and checks the sha256 of
 # each stdout, plus fig8's two CSV traces, against the committed list
 # scripts/fig_digests.sha256. A refactor that moves any figure's
@@ -47,8 +48,25 @@ benches=(
     fig15_mapping_opportunity
     ext_ablation_pdn ext_spectrum ext_guardband ext_variation ext_scaling
     ext_scheduler
+    table1_epi ext_disruptive ext_genetic
+)
+# vnoise_cli commands, as "output-name subcommand [flags]".
+cli_runs=(
+    "cli_sweep sweep"
+    "cli_sweep_sync sweep --sync"
+    "cli_map map"
 )
 list="$PWD/scripts/fig_digests.sha256"
+
+missing=()
+for bench in "${benches[@]}"; do
+    [[ -x "$bin/$bench" ]] || missing+=("bench/$bench")
+done
+[[ -x "$build_dir/tools/vnoise_cli" ]] || missing+=(tools/vnoise_cli)
+if ((${#missing[@]})); then
+    echo "fig_digests: not built in $build_dir: ${missing[*]}" >&2
+    exit 2
+fi
 
 export VNOISE_OUT_DIR=out/golden
 mkdir -p "$VNOISE_OUT_DIR"
@@ -60,6 +78,12 @@ fi
 for bench in "${benches[@]}"; do
     "$bin/$bench" --jobs 3 --no-cache \
         >"$VNOISE_OUT_DIR/$bench.stdout" 2>"$VNOISE_OUT_DIR/$bench.stderr"
+done
+for run in "${cli_runs[@]}"; do
+    read -r name args <<<"$run"
+    # shellcheck disable=SC2086  # $args is the word list of one command
+    "$build_dir/tools/vnoise_cli" $args --jobs 3 --no-cache \
+        >"$VNOISE_OUT_DIR/$name.stdout" 2>"$VNOISE_OUT_DIR/$name.stderr"
 done
 
 cached=(fig9_sync_sweep fig13_propagation)
@@ -84,6 +108,9 @@ cd "$VNOISE_OUT_DIR"
 outputs=()
 for bench in "${benches[@]}"; do
     outputs+=("$bench.stdout")
+done
+for run in "${cli_runs[@]}"; do
+    outputs+=("${run%% *}.stdout")
 done
 outputs+=(fig8_20us.csv fig8_period.csv)
 for bench in "${cached[@]}"; do

@@ -1,5 +1,7 @@
 #include "analysis/campaigns.hh"
 
+#include <algorithm>
+
 #include "chip/configio.hh"
 #include "util/logging.hh"
 
@@ -41,6 +43,18 @@ analysisScope(const AnalysisContext &ctx, const std::string &extra)
     if (!extra.empty())
         scope += "extra: " + extra + "\n";
     return scope;
+}
+
+size_t
+pointsPerBatch(const runtime::CampaignOptions &options, size_t points,
+               size_t lanes_per_point)
+{
+    const size_t workers = static_cast<size_t>(std::max(
+        1, options.pool != nullptr ? options.pool->threads() : options.jobs));
+    const size_t widest = std::max<size_t>(
+        1, static_cast<size_t>(options.lanes) /
+               std::max<size_t>(1, lanes_per_point));
+    return std::clamp<size_t>((points + workers - 1) / workers, 1, widest);
 }
 
 void

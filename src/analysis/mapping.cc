@@ -129,12 +129,14 @@ MappingStudy::runMany(std::span<const Mapping> mappings) const
         ctx_.campaign, ctx_.seed, analysisScope(effective, extra));
     campaign.setCodec(encodeMappingResult, decodeMappingResult);
 
-    // Chunk the mappings into solver lanes. Per-mapping keys (and so
-    // cache entries) are exactly what scalar submission would use; a
-    // partially cached chunk re-runs only its missing lanes.
-    const size_t lanes = static_cast<size_t>(ctx_.campaign.lanes);
-    for (size_t start = 0; start < mappings.size(); start += lanes) {
-        const size_t n = std::min(lanes, mappings.size() - start);
+    // Chunk the mappings into solver lanes, one lane per mapping.
+    // Per-mapping keys (and so cache entries) are exactly what scalar
+    // submission would use; a partially cached chunk re-runs only its
+    // missing lanes.
+    const size_t per_batch =
+        pointsPerBatch(ctx_.campaign, mappings.size(), 1);
+    for (size_t start = 0; start < mappings.size(); start += per_batch) {
+        const size_t n = std::min(per_batch, mappings.size() - start);
         std::vector<Mapping> chunk(mappings.begin() +
                                        static_cast<long>(start),
                                    mappings.begin() +

@@ -74,84 +74,92 @@ makeActivity(const AnalysisContext &ctx, double freq_hz,
     return ctx.kit->make(spec).activity();
 }
 
-/** One frequency point; `seed` drives the unsynchronized phase draws. */
-FreqSweepPoint
-sweepOnePoint(const AnalysisContext &ctx, const ChipModel &chip,
-              double nominal_pos, double f, bool synchronized,
-              uint64_t seed)
+/**
+ * The points of one lane batch: all synchronized or all free-running,
+ * all over one `window`. `seeds[i]` drives point i's unsynchronized
+ * phase draws. Every point's workload sets are lanes of one batched
+ * run, so point i is bit-identical to a run of it alone.
+ */
+std::vector<FreqSweepPoint>
+sweepPoints(const AnalysisContext &ctx, const ChipModel &chip,
+            double nominal_pos, std::span<const double> freqs,
+            bool synchronized, double window,
+            std::span<const uint64_t> seeds)
 {
-    StressmarkSpec spec;
-    spec.stimulus_freq_hz = f;
-    spec.consecutive_events = ctx.consecutive_events;
-    spec.synchronized = synchronized;
-    Stressmark sm = ctx.kit->make(spec);
-    double window = windowFor(ctx, f);
-
-    FreqSweepPoint point;
-    point.freq_hz = f;
-
-    if (synchronized) {
-        std::array<CoreActivity, kNumCores> w = {
-            sm.activity(), sm.activity(), sm.activity(),
-            sm.activity(), sm.activity(), sm.activity()};
-        auto r = chip.run(w, window);
-        for (int c = 0; c < kNumCores; ++c) {
-            point.p2p[c] = r.core[c].p2p;
-            point.v_min[c] = r.core[c].v_min;
+    // A synchronized point is one set of six copies. A free-running
+    // point approximates the sticky-mode union its copies reach as
+    // they drift through every relative alignment over a long
+    // measurement with several random-phase draws, drawn in exactly
+    // the scalar order (draws outer, cores inner) from the point's own
+    // seed; a run consumes no RNG.
+    const size_t draws =
+        synchronized ? 1 : static_cast<size_t>(std::max(0, ctx.unsync_draws));
+    std::vector<std::array<CoreActivity, kNumCores>> sets;
+    sets.reserve(freqs.size() * draws);
+    for (size_t i = 0; i < freqs.size(); ++i) {
+        StressmarkSpec spec;
+        spec.stimulus_freq_hz = freqs[i];
+        spec.consecutive_events = ctx.consecutive_events;
+        spec.synchronized = synchronized;
+        const Stressmark sm = ctx.kit->make(spec);
+        if (synchronized) {
+            sets.push_back({sm.activity(), sm.activity(), sm.activity(),
+                            sm.activity(), sm.activity(), sm.activity()});
+            continue;
         }
-    } else {
-        // Free-running copies drift through every relative
-        // alignment over a long measurement; approximate the
-        // sticky-mode union with several random-phase draws, run as
-        // lanes of one batched solve. Phases are drawn in exactly the
-        // scalar order (draws outer, cores inner) up front — a run
-        // consumes no RNG, so the stream matches the old
-        // draw-run-draw-run loop and results are bit-identical.
-        Rng rng(seed);
-        std::array<int, kNumCores> lo{};
-        std::array<int, kNumCores> hi{};
-        std::array<double, kNumCores> vmin;
-        vmin.fill(1e9);
-        bool first = true;
-        double period = 1.0 / f;
-        std::vector<std::array<CoreActivity, kNumCores>> draws;
-        draws.reserve(static_cast<size_t>(ctx.unsync_draws));
-        for (int d = 0; d < ctx.unsync_draws; ++d) {
-            draws.push_back(std::array<CoreActivity, kNumCores>{
-                sm.activity(period * rng.uniform()),
-                sm.activity(period * rng.uniform()),
-                sm.activity(period * rng.uniform()),
-                sm.activity(period * rng.uniform()),
-                sm.activity(period * rng.uniform()),
-                sm.activity(period * rng.uniform())});
-        }
-        auto runs = chip.runBatch(draws, window);
-        for (int d = 0; d < ctx.unsync_draws; ++d) {
-            const auto &r = runs[static_cast<size_t>(d)];
-            for (int c = 0; c < kNumCores; ++c) {
-                if (first) {
-                    lo[c] = r.core[c].min_latch;
-                    hi[c] = r.core[c].max_latch;
-                } else {
-                    lo[c] = std::min(lo[c], r.core[c].min_latch);
-                    hi[c] = std::max(hi[c], r.core[c].max_latch);
-                }
-                vmin[c] = std::min(vmin[c], r.core[c].v_min);
-            }
-            first = false;
-        }
-        for (int c = 0; c < kNumCores; ++c) {
-            point.p2p[c] = 100.0 * static_cast<double>(hi[c] - lo[c]) /
-                           nominal_pos;
-            point.v_min[c] = vmin[c];
+        Rng rng(seeds[i]);
+        const double period = 1.0 / freqs[i];
+        for (size_t d = 0; d < draws; ++d) {
+            sets.push_back({sm.activity(period * rng.uniform()),
+                            sm.activity(period * rng.uniform()),
+                            sm.activity(period * rng.uniform()),
+                            sm.activity(period * rng.uniform()),
+                            sm.activity(period * rng.uniform()),
+                            sm.activity(period * rng.uniform())});
         }
     }
+    const auto runs = chip.runBatch(sets, window);
 
-    point.max_p2p =
-        *std::max_element(point.p2p.begin(), point.p2p.end());
-    point.min_v =
-        *std::min_element(point.v_min.begin(), point.v_min.end());
-    return point;
+    std::vector<FreqSweepPoint> points(freqs.size());
+    for (size_t i = 0; i < freqs.size(); ++i) {
+        FreqSweepPoint &point = points[i];
+        point.freq_hz = freqs[i];
+        if (synchronized) {
+            const ChipRunResult &r = runs[i];
+            for (int c = 0; c < kNumCores; ++c) {
+                point.p2p[c] = r.core[c].p2p;
+                point.v_min[c] = r.core[c].v_min;
+            }
+        } else {
+            std::array<int, kNumCores> lo{};
+            std::array<int, kNumCores> hi{};
+            std::array<double, kNumCores> vmin;
+            vmin.fill(1e9);
+            for (size_t d = 0; d < draws; ++d) {
+                const ChipRunResult &r = runs[i * draws + d];
+                for (int c = 0; c < kNumCores; ++c) {
+                    if (d == 0) {
+                        lo[c] = r.core[c].min_latch;
+                        hi[c] = r.core[c].max_latch;
+                    } else {
+                        lo[c] = std::min(lo[c], r.core[c].min_latch);
+                        hi[c] = std::max(hi[c], r.core[c].max_latch);
+                    }
+                    vmin[c] = std::min(vmin[c], r.core[c].v_min);
+                }
+            }
+            for (int c = 0; c < kNumCores; ++c) {
+                point.p2p[c] = 100.0 * static_cast<double>(hi[c] - lo[c]) /
+                               nominal_pos;
+                point.v_min[c] = vmin[c];
+            }
+        }
+        point.max_p2p =
+            *std::max_element(point.p2p.begin(), point.p2p.end());
+        point.min_v =
+            *std::min_element(point.v_min.begin(), point.v_min.end());
+    }
+    return points;
 }
 
 } // namespace
@@ -179,17 +187,75 @@ sweepStimulusPoints(const AnalysisContext &ctx,
     runtime::Campaign<FreqSweepPoint> campaign(ctx.campaign, ctx.seed,
                                                analysisScope(ctx));
     campaign.setCodec(encodeFreqSweepPoint, decodeFreqSweepPoint);
-    for (const SweepPointSpec &spec : specs) {
-        std::string key = std::string("fsweep sync=") +
-                          (spec.synchronized ? "1" : "0") +
-                          " f=" + numKey(spec.freq_hz);
-        campaign.submit(key, [&ctx, &chip, nominal_pos,
-                              spec](uint64_t seed) {
-            return sweepOnePoint(ctx, chip, nominal_pos, spec.freq_hz,
-                                 spec.synchronized, seed);
-        });
+
+    // Points of one kind (synchronized or free-running) over one window
+    // run the same steps, so they are lanes of one batch: group them in
+    // order of first appearance and split each group by
+    // pointsPerBatch(). Per-point keys, derived seeds and cache entries
+    // are the one-point jobs' own.
+    struct Group
+    {
+        bool synchronized;
+        double window;
+        std::vector<size_t> points; //!< indices into specs
+    };
+    std::vector<Group> groups;
+    for (size_t i = 0; i < specs.size(); ++i) {
+        const double window = windowFor(ctx, specs[i].freq_hz);
+        auto group = std::find_if(groups.begin(), groups.end(),
+                                  [&](const Group &g) {
+                                      return g.synchronized ==
+                                                 specs[i].synchronized &&
+                                             g.window == window;
+                                  });
+        if (group == groups.end())
+            group = groups.insert(groups.end(),
+                                  {specs[i].synchronized, window, {}});
+        group->points.push_back(i);
     }
-    return campaign.collectOrFatal();
+
+    std::vector<size_t> submitted; // spec index of each result
+    submitted.reserve(specs.size());
+    for (const Group &group : groups) {
+        const size_t per_batch = pointsPerBatch(
+            ctx.campaign, group.points.size(),
+            group.synchronized
+                ? 1
+                : static_cast<size_t>(std::max(1, ctx.unsync_draws)));
+        for (size_t start = 0; start < group.points.size();
+             start += per_batch) {
+            const size_t n = std::min(per_batch, group.points.size() - start);
+            std::vector<std::string> keys;
+            std::vector<double> freqs;
+            for (size_t j = start; j < start + n; ++j) {
+                const SweepPointSpec &spec = specs[group.points[j]];
+                keys.push_back(std::string("fsweep sync=") +
+                               (spec.synchronized ? "1" : "0") +
+                               " f=" + numKey(spec.freq_hz));
+                freqs.push_back(spec.freq_hz);
+                submitted.push_back(group.points[j]);
+            }
+            campaign.submitBatch(
+                std::move(keys),
+                [&ctx, &chip, nominal_pos, freqs = std::move(freqs),
+                 synchronized = group.synchronized,
+                 window = group.window](std::span<const uint64_t> seeds,
+                                        std::span<const size_t> lanes) {
+                    std::vector<double> todo;
+                    todo.reserve(lanes.size());
+                    for (size_t lane : lanes)
+                        todo.push_back(freqs[lane]);
+                    return sweepPoints(ctx, chip, nominal_pos, todo,
+                                       synchronized, window, seeds);
+                });
+        }
+    }
+
+    std::vector<FreqSweepPoint> results = campaign.collectOrFatal();
+    std::vector<FreqSweepPoint> points(specs.size());
+    for (size_t i = 0; i < submitted.size(); ++i)
+        points[submitted[i]] = std::move(results[i]);
+    return points;
 }
 
 std::vector<MisalignmentPoint>

@@ -1,6 +1,7 @@
 #include "chip/activity.hh"
 
 #include <algorithm>
+#include <cstring>
 
 #include "chip/tod.hh"
 #include "util/logging.hh"
@@ -17,12 +18,28 @@ CoreActivity::constant(double power)
 CoreActivity::CoreActivity(std::vector<ActivityPhase> loop,
                            std::optional<SyncSpec> sync,
                            std::vector<ActivityPhase> prologue)
+    : CoreActivity(std::make_shared<const std::vector<ActivityPhase>>(
+                       std::move(loop)),
+                   std::move(sync), std::move(prologue))
+{
+}
+
+CoreActivity
+CoreActivity::sharing(PhaseList loop, std::optional<SyncSpec> sync,
+                      std::vector<ActivityPhase> prologue)
+{
+    return CoreActivity(std::move(loop), std::move(sync),
+                        std::move(prologue));
+}
+
+CoreActivity::CoreActivity(PhaseList loop, std::optional<SyncSpec> sync,
+                           std::vector<ActivityPhase> prologue)
     : loop_(std::move(loop)), sync_(std::move(sync)),
       prologue_(std::move(prologue))
 {
-    if (loop_.empty())
+    if (!loop_ || loop_->empty())
         fatal("CoreActivity: loop must have at least one phase");
-    for (const auto &phase : loop_) {
+    for (const auto &phase : *loop_) {
         if (phase.duration <= 0.0)
             fatal("CoreActivity: loop phase durations must be > 0");
     }
@@ -69,9 +86,52 @@ CoreActivity::currentPower() const
       case State::Waiting:
         return sync_->spin_power;
       case State::Running:
-        return loop_[phase_].power;
+        return (*loop_)[phase_].power;
     }
     return 0.0;
+}
+
+namespace
+{
+
+bool
+sameBits(double a, double b)
+{
+    return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+bool
+samePhases(const std::vector<ActivityPhase> &a,
+           const std::vector<ActivityPhase> &b)
+{
+    if (&a == &b)
+        return true;
+    if (a.size() != b.size())
+        return false;
+    for (size_t i = 0; i < a.size(); ++i)
+        if (!sameBits(a[i].power, b[i].power) ||
+            !sameBits(a[i].duration, b[i].duration))
+            return false;
+    return true;
+}
+
+} // namespace
+
+bool
+CoreActivity::identicalTo(const CoreActivity &other) const
+{
+    if (state_ != other.state_ || phase_ != other.phase_ ||
+        !sameBits(time_, other.time_) ||
+        !sameBits(into_phase_, other.into_phase_) ||
+        !sameBits(wait_until_, other.wait_until_) ||
+        sync_.has_value() != other.sync_.has_value())
+        return false;
+    if (sync_ && (sync_->interval_ticks != other.sync_->interval_ticks ||
+                  sync_->offset_ticks != other.sync_->offset_ticks ||
+                  !sameBits(sync_->spin_power, other.sync_->spin_power)))
+        return false;
+    return samePhases(prologue_, other.prologue_) &&
+           samePhases(*loop_, *other.loop_);
 }
 
 double
@@ -98,7 +158,7 @@ CoreActivity::advance(double dt)
         }
 
         const auto &phases =
-            state_ == State::Prologue ? prologue_ : loop_;
+            state_ == State::Prologue ? prologue_ : *loop_;
         const auto &phase = phases[phase_];
         double left = phase.duration - into_phase_;
         double chunk = std::min(remaining, left);

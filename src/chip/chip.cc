@@ -4,6 +4,7 @@
 #include <cmath>
 #include <iomanip>
 
+#include "util/lanepack.hh"
 #include "util/logging.hh"
 
 namespace vn
@@ -98,26 +99,35 @@ class WindowStats
     /** Count one more sample for every lane; add() each unit's next. */
     void nextSample() { ++count_; }
 
-    /** Unit u's sample of every lane, x[k] for lane k. */
+    /**
+     * Unit u's sample of every lane, x[k] for lane k, W lanes at a time
+     * as one LanePack (W = 0: one lane at a time).
+     */
+    template <size_t W, bool Wide>
     [[gnu::always_inline]] void
     add(int u, const double *x)
     {
-        const size_t base = static_cast<size_t>(u) * lanes_;
+        using Pack = detail::LanePack<W == 0 ? 1 : W, Wide>;
+        const size_t lanes = W != 0 ? W : lanes_;
+        const size_t base = static_cast<size_t>(u) * lanes;
         double *min = &min_[base];
         double *max = &max_[base];
         double *mean = &mean_[base];
         if (count_ == 1) {
-            std::copy_n(x, lanes_, min);
-            std::copy_n(x, lanes_, max);
+            std::copy_n(x, lanes, min);
+            std::copy_n(x, lanes, max);
         } else {
-            for (size_t k = 0; k < lanes_; ++k) {
-                min[k] = std::min(min[k], x[k]);
-                max[k] = std::max(max[k], x[k]);
+            for (size_t k = 0; k < lanes; k += Pack::width) {
+                const Pack xk = Pack::load(x + k);
+                lanesMin(Pack::load(min + k), xk).store(min + k);
+                lanesMax(Pack::load(max + k), xk).store(max + k);
             }
         }
-        const double n = static_cast<double>(count_);
-        for (size_t k = 0; k < lanes_; ++k)
-            mean[k] += (x[k] - mean[k]) / n;
+        const Pack n = Pack::splat(static_cast<double>(count_));
+        for (size_t k = 0; k < lanes; k += Pack::width) {
+            const Pack m = Pack::load(mean + k);
+            (m + (Pack::load(x + k) - m) / n).store(mean + k);
+        }
     }
 
     /** Unit u's readout in lane k. */
@@ -135,6 +145,144 @@ class WindowStats
     std::vector<double> max_;
     std::vector<double> mean_;
 };
+
+/** What runBatch()'s per-step lane work reads and updates. */
+struct LaneStep
+{
+    size_t lanes;
+    std::array<const double *, kObservedUnits> unit_v; //!< solution rows
+    const double *vrm_amps;                            //!< solution row
+    WindowStats *window;
+    double *avg_watts;
+    double supply;
+    double v_crit;
+};
+
+/**
+ * One step's lane work after the solve, as a LaneClones body: the
+ * window statistics when `in_window`; the meter, the running mean of
+ * the input-rail power supply * |I_vrm| over `samples` steps, as
+ * PowerMeter keeps it; and a screen for the R-Unit. Returns whether a
+ * core of any lane reads below the critical voltage, the only step on
+ * which the per-lane R-Unit check can record a failure.
+ */
+struct LaneStepBody
+{
+    template <size_t W, bool Wide>
+    [[gnu::always_inline]] static bool
+    run(const LaneStep &s, bool in_window, double samples)
+    {
+        using Pack = detail::LanePack<W == 0 ? 1 : W, Wide>;
+        const size_t lanes = W != 0 ? W : s.lanes;
+        if (in_window) {
+            s.window->nextSample();
+            for (int u = 0; u < kObservedUnits; ++u)
+                s.window->add<W, Wide>(u, s.unit_v[u]);
+        }
+        const Pack supply = Pack::splat(s.supply);
+        const Pack n = Pack::splat(samples);
+        bool below = false;
+        for (size_t k = 0; k < lanes; k += Pack::width) {
+            const Pack avg = Pack::load(s.avg_watts + k);
+            (avg +
+             (supply * lanesAbs(Pack::load(s.vrm_amps + k)) - avg) / n)
+                .store(s.avg_watts + k);
+            for (int c = 0; c < kNumCores; ++c)
+                below |= anyBelow(Pack::load(s.unit_v[c] + k), s.v_crit);
+        }
+        return below;
+    }
+};
+
+using LaneStepClones =
+    detail::LaneClones<LaneStepBody, bool(const LaneStep &, bool, double)>;
+
+/**
+ * The distinct activities of a batch: one representative per set of
+ * lane-by-core activities that are identicalTo() each other, and each
+ * (lane, core)'s representative. Identical activities stay identical,
+ * so advancing each representative once per step gives every activity
+ * of its set the power bits its own advance() would.
+ */
+class ActivityGroups
+{
+  public:
+    explicit ActivityGroups(
+        std::span<const std::array<CoreActivity, kNumCores>> sets)
+    {
+        rep_of_.reserve(sets.size() * kNumCores);
+        for (const auto &set : sets) {
+            for (const CoreActivity &activity : set) {
+                size_t g = 0;
+                while (g < reps_.size() && !reps_[g].identicalTo(activity))
+                    ++g;
+                if (g == reps_.size())
+                    reps_.push_back(activity);
+                rep_of_.push_back(g);
+            }
+        }
+        power_.assign(reps_.size(), 0.0);
+    }
+
+    /** Every representative's power at the current instant. */
+    void
+    current()
+    {
+        for (size_t g = 0; g < reps_.size(); ++g)
+            power_[g] = reps_[g].currentPower();
+    }
+
+    /** Advance every representative by dt; power() is its average. */
+    void
+    advance(double dt)
+    {
+        for (size_t g = 0; g < reps_.size(); ++g)
+            power_[g] = reps_[g].advance(dt);
+    }
+
+    /** The power of lane `lane`'s core `core`. */
+    double
+    power(size_t lane, int core) const
+    {
+        return power_[rep_of_[lane * kNumCores + static_cast<size_t>(core)]];
+    }
+
+  private:
+    std::vector<CoreActivity> reps_;
+    std::vector<size_t> rep_of_; //!< [lane * kNumCores + core]
+    std::vector<double> power_;  //!< per representative
+};
+
+/** The shared units' constant draw, into each of `lanes` lanes. */
+void
+fillSharedCurrents(const ChipConfig &config, const ChipPdn &pdn,
+                   size_t lanes, double *currents)
+{
+    for (size_t k = 0; k < lanes; ++k) {
+        double *lane = currents + k * pdn.portCount();
+        lane[pdn.l3_port] = config.nest_amps;
+        lane[pdn.mcu_port] = config.mcu_amps;
+        lane[pdn.gx_port] = config.gx_amps;
+    }
+}
+
+/**
+ * Each lane's core port currents from its cores' present powers:
+ * power * power_unit_amps * the core's power_scale.
+ */
+void
+fillCoreCurrents(const ChipConfig &config, const ChipPdn &pdn,
+                 const ActivityGroups &activity, size_t lanes,
+                 double *currents)
+{
+    for (size_t k = 0; k < lanes; ++k) {
+        double *lane = currents + k * pdn.portCount();
+        for (int c = 0; c < kNumCores; ++c)
+            lane[pdn.core_port[c]] = activity.power(k, c) *
+                                     config.power_unit_amps *
+                                     config.variation.core[c].power_scale;
+    }
+}
 
 /** Every core's and shared unit's readout in lane k over the window. */
 void
@@ -214,21 +362,6 @@ ChipModel::idleActivity() const
     return CoreActivity::constant(config_.core.static_power);
 }
 
-void
-ChipModel::fillCurrents(std::array<CoreActivity, kNumCores> &activity,
-                        bool advance, double *currents) const
-{
-    for (int c = 0; c < kNumCores; ++c) {
-        double power = advance ? activity[c].advance(config_.dt)
-                               : activity[c].currentPower();
-        currents[pdn_.core_port[c]] = power * config_.power_unit_amps *
-                                      config_.variation.core[c].power_scale;
-    }
-    currents[pdn_.l3_port] = config_.nest_amps;
-    currents[pdn_.mcu_port] = config_.mcu_amps;
-    currents[pdn_.gx_port] = config_.gx_amps;
-}
-
 ChipRunResult
 ChipModel::run(const std::array<CoreActivity, kNumCores> &workloads,
                double duration, const RunOptions &options) const
@@ -250,30 +383,23 @@ ChipModel::runBatch(
     if (lanes == 0)
         return {};
 
-    std::vector<std::array<CoreActivity, kNumCores>> activity(
-        workloads.begin(), workloads.end());
-
     // Lanes never mix arithmetically: each lane's statistics, meter,
     // R-Unit verdict and traces see only its own voltages, with a
     // one-lane run's arithmetic, so lane results are bit-identical to
     // a one-lane run of the same workloads. Voltage statistics of the
     // cores and of the shared units (nest/L3, MCU, GX) run from warmup
     // on; the skitter readouts derive from them.
+    ActivityGroups activity(workloads);
     const auto unit_rows = observedRows(pdn_, *fact_);
-    const size_t vrm_row = fact_->numNodes();
     WindowStats window(lanes);
     std::vector<double> avg_watts(lanes, 0.0);
 
     TransientSolver sim(fact_, lanes);
 
-    const size_t num_ports = pdn_.portCount();
-    std::vector<double> currents(num_ports * lanes, 0.0);
-    auto fill_currents = [&](bool advance) {
-        for (size_t k = 0; k < lanes; ++k)
-            fillCurrents(activity[k], advance, &currents[k * num_ports]);
-    };
-
-    fill_currents(false);
+    std::vector<double> currents(pdn_.portCount() * lanes, 0.0);
+    fillSharedCurrents(config_, pdn_, lanes, currents.data());
+    activity.current();
+    fillCoreCurrents(config_, pdn_, activity, lanes, currents.data());
     sim.initDcOperatingPoint(currents);
 
     std::vector<ChipRunResult> results(lanes);
@@ -287,47 +413,48 @@ ChipModel::runBatch(
         }
     }
 
-    unsigned trace_phase = 0;
-    std::array<const double *, kNumCores> core_v;
+    LaneStep lane_step{lanes,
+                       {},
+                       sim.solutionRow(fact_->numNodes()),
+                       &window,
+                       avg_watts.data(),
+                       supply_,
+                       critpath_.criticalVoltage()};
+    for (int u = 0; u < kObservedUnits; ++u)
+        lane_step.unit_v[u] = sim.solutionRow(unit_rows[u]);
+    const auto step_lanes = LaneStepClones::forLanes(lanes);
+    const auto &core_v = lane_step.unit_v;
 
+    unsigned trace_phase = 0;
     const auto steps =
         static_cast<uint64_t>(std::ceil(duration / config_.dt));
     for (uint64_t step = 0; step < steps; ++step) {
-        fill_currents(true);
+        activity.advance(config_.dt);
+        fillCoreCurrents(config_, pdn_, activity, lanes, currents.data());
         sim.step(currents);
-        double t = sim.time();
-
-        if (t >= options.warmup) {
-            window.nextSample();
-            for (int u = 0; u < kObservedUnits; ++u)
-                window.add(u, sim.solutionRow(unit_rows[u]));
-        }
-
-        // The meter: the running mean of the input-rail power
-        // supply * |I_vrm| over every step, as PowerMeter keeps it.
-        const double *vrm_amps = sim.solutionRow(vrm_row);
-        const double samples = static_cast<double>(step + 1);
-        for (size_t k = 0; k < lanes; ++k)
-            avg_watts[k] +=
-                (supply_ * std::fabs(vrm_amps[k]) - avg_watts[k]) / samples;
+        const double t = sim.time();
+        const bool below = step_lanes(lane_step, t >= options.warmup,
+                                      static_cast<double>(step + 1));
 
         // Per lane, the R-Unit checks the cores in ascending order and
-        // the first violation wins.
-        for (int c = 0; c < kNumCores; ++c)
-            core_v[c] = sim.solutionRow(unit_rows[c]);
+        // the first violation wins; only a step on which some core is
+        // below the critical voltage can record one.
         const bool capture = options.capture_traces && trace_phase == 0;
-        for (size_t k = 0; k < lanes; ++k) {
-            ChipRunResult &result = results[k];
-            for (int c = 0; c < kNumCores && !result.failed; ++c) {
-                if (critpath_.violates(core_v[c][k])) {
-                    result.failed = true;
-                    result.failure_time = t;
-                    result.failing_core = c;
+        if (below || capture) {
+            for (size_t k = 0; k < lanes; ++k) {
+                ChipRunResult &result = results[k];
+                for (int c = 0; below && c < kNumCores && !result.failed;
+                     ++c) {
+                    if (critpath_.violates(core_v[c][k])) {
+                        result.failed = true;
+                        result.failure_time = t;
+                        result.failing_core = c;
+                    }
                 }
+                if (capture)
+                    for (int c = 0; c < kNumCores; ++c)
+                        result.traces[c].push(core_v[c][k]);
             }
-            if (capture)
-                for (int c = 0; c < kNumCores; ++c)
-                    result.traces[c].push(core_v[c][k]);
         }
 
         if (options.capture_traces &&
@@ -362,20 +489,23 @@ ChipModel::scanFailures(const std::array<CoreActivity, kNumCores> &workloads,
     for (double bias : biases)
         supplies.push_back(supplyAt(bias));
 
-    // Every lane draws the same currents: advance one activity set and
-    // copy its lane into the others.
-    std::array<CoreActivity, kNumCores> activity = workloads;
+    // Every lane draws the same currents: advance one activity set
+    // (each distinct activity of it once) and copy its lane into the
+    // others.
+    ActivityGroups activity(std::span(&workloads, 1));
     const size_t num_ports = pdn_.portCount();
     std::vector<double> currents(num_ports * lanes, 0.0);
-    auto fill_currents = [&](bool advance) {
-        fillCurrents(activity, advance, currents.data());
+    fillSharedCurrents(config_, pdn_, 1, currents.data());
+    auto fill_currents = [&] {
+        fillCoreCurrents(config_, pdn_, activity, 1, currents.data());
         for (size_t k = 1; k < lanes; ++k)
             std::copy_n(currents.data(), num_ports,
                         currents.data() + k * num_ports);
     };
 
     TransientSolver sim(fact_, lanes);
-    fill_currents(false);
+    activity.current();
+    fill_currents();
     sim.initDcOperatingPoint(currents, supplies);
 
     const auto unit_rows = observedRows(pdn_, *fact_);
@@ -385,7 +515,8 @@ ChipModel::scanFailures(const std::array<CoreActivity, kNumCores> &workloads,
     const auto steps =
         static_cast<uint64_t>(std::ceil(duration / config_.dt));
     for (uint64_t step = 0; step < steps && pending > 0; ++step) {
-        fill_currents(true);
+        activity.advance(config_.dt);
+        fill_currents();
         sim.step(currents, supplies);
         const double t = sim.time();
 

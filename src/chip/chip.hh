@@ -198,13 +198,6 @@ class ChipModel
     /** The supply at an undervolt bias in [0, 0.3] (fatal otherwise). */
     double supplyAt(double bias) const;
 
-    /**
-     * One lane's port currents from its per-core activities, advanced
-     * by one step first when `advance` is set.
-     */
-    void fillCurrents(std::array<CoreActivity, kNumCores> &activity,
-                      bool advance, double *currents) const;
-
     ChipConfig config_;
     ChipPdn pdn_;
     CriticalPathMonitor critpath_;

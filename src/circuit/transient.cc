@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "util/lanepack.hh"
 #include "util/logging.hh"
 
 namespace vn
@@ -10,68 +11,159 @@ namespace vn
 namespace
 {
 
-/** Index of a node in the unknown vector, or -1 for ground. */
-inline int
-nodeIndex(NodeId node)
+/** The row of a node's unknown, or `dim` (zero / sink row) for ground. */
+size_t
+terminalRow(NodeId node, size_t dim)
 {
-    return node - 1;
-}
-
-/**
- * Write the lane-major `source_volts` (or, when empty, the netlist's
- * values) into the SoA voltage-source rows of `rhs`.
- */
-[[gnu::always_inline]] inline void
-fillSourceVolts(const Factorization &fact,
-                std::span<const double> source_volts, size_t lanes,
-                double *rhs)
-{
-    const auto &sources = fact.netlist().voltageSources();
-    const size_t num_vsrc = sources.size();
-    if (!source_volts.empty() && source_volts.size() != num_vsrc * lanes)
-        fatal("TransientSolver: expected ", num_vsrc, " x ", lanes,
-              " lane-major source values, got ", source_volts.size());
-    for (size_t s = 0; s < num_vsrc; ++s) {
-        double *row = rhs + (fact.numNodes() + s) * lanes;
-        if (source_volts.empty()) {
-            std::fill_n(row, lanes, sources[s].volts);
-            continue;
-        }
-        for (size_t k = 0; k < lanes; ++k)
-            row[k] = source_volts[k * num_vsrc + s];
-    }
-}
-
-/** Add the lane-major `port_currents` into the SoA node rows of `rhs`. */
-[[gnu::always_inline]] inline void
-fillPortCurrents(const Factorization &fact,
-                 std::span<const double> port_currents, size_t lanes,
-                 double *rhs)
-{
-    const auto &ports = fact.netlist().ports();
-    const size_t num_ports = ports.size();
-    if (port_currents.size() != num_ports * lanes)
-        fatal("TransientSolver: expected ", num_ports, " x ", lanes,
-              " lane-major port currents, got ", port_currents.size());
-    // Ports in netlist order, -= into `from`, += into `to`.
-    for (size_t p = 0; p < num_ports; ++p) {
-        int ifrom = nodeIndex(ports[p].from);
-        int ito = nodeIndex(ports[p].to);
-        double *rhs_from =
-            ifrom >= 0 ? rhs + static_cast<size_t>(ifrom) * lanes : nullptr;
-        double *rhs_to =
-            ito >= 0 ? rhs + static_cast<size_t>(ito) * lanes : nullptr;
-        for (size_t k = 0; k < lanes; ++k) {
-            double current = port_currents[k * num_ports + p];
-            if (rhs_from != nullptr)
-                rhs_from[k] -= current;
-            if (rhs_to != nullptr)
-                rhs_to[k] += current;
-        }
-    }
+    return node == Netlist::ground ? dim : static_cast<size_t>(node - 1);
 }
 
 } // namespace
+
+/** Write each source's lane-major value into its row of the rhs. */
+template <size_t W, bool Wide>
+[[gnu::always_inline]] inline void
+TransientSolver::stampSources(const double *source_volts)
+{
+    using Pack = detail::LanePack<W == 0 ? 1 : W, Wide>;
+    const size_t lanes = W != 0 ? W : lanes_;
+    const size_t num_nodes = fact_->numNodes();
+    const size_t num_vsrc = fact_->numVoltageSources();
+    double *rhs = rhs_.data();
+    for (size_t s = 0; s < num_vsrc; ++s) {
+        double *row = rhs + (num_nodes + s) * lanes;
+        for (size_t k = 0; k < lanes; k += Pack::width)
+            Pack::gather(source_volts + k * num_vsrc + s, num_vsrc)
+                .store(row + k);
+    }
+}
+
+/** Ports in netlist order: -= into `from`, += into `to`. */
+template <size_t W, bool Wide>
+[[gnu::always_inline]] inline void
+TransientSolver::stampPorts(const double *port_currents)
+{
+    using Pack = detail::LanePack<W == 0 ? 1 : W, Wide>;
+    const size_t lanes = W != 0 ? W : lanes_;
+    const size_t num_ports = port_rows_.size() / 2;
+    const size_t *port_rows = port_rows_.data();
+    double *rhs = rhs_.data();
+    for (size_t p = 0; p < num_ports; ++p) {
+        double *from = rhs + port_rows[2 * p] * lanes;
+        double *to = rhs + port_rows[2 * p + 1] * lanes;
+        for (size_t k = 0; k < lanes; k += Pack::width) {
+            const Pack current = Pack::gather(
+                port_currents + k * num_ports + p, num_ports);
+            (Pack::load(from + k) - current).store(from + k);
+            (Pack::load(to + k) + current).store(to + k);
+        }
+    }
+}
+
+/**
+ * One trapezoidal step of every lane. Per lane this is the same
+ * operation sequence at every W: the stamp order (capacitors, sources,
+ * inductors, ports), the substitution, then the companion updates.
+ */
+template <size_t W, bool Wide>
+[[gnu::always_inline]] inline void
+TransientSolver::stepLanes(const double *port_currents,
+                           const double *source_volts)
+{
+    using Pack = detail::LanePack<W == 0 ? 1 : W, Wide>;
+    const size_t lanes = W != 0 ? W : lanes_;
+    const Factorization &fact = *fact_;
+    const size_t dim = fact.dim();
+    const size_t num_nodes = fact.numNodes();
+    const size_t num_vsrc = fact.numVoltageSources();
+    const size_t num_caps = cap_rows_.size() / 2;
+    const size_t num_ind = ind_rows_.size() / 2;
+    const size_t *cap_rows = cap_rows_.data();
+    const size_t *ind_rows = ind_rows_.data();
+    const double *cap_geq = fact.capGeq().data();
+    const double *ind_req = fact.indReq().data();
+    double *rhs = rhs_.data();
+    double *solution = solution_.data();
+    double *cap_voltage = cap_voltage_.data();
+    double *cap_current = cap_current_.data();
+    double *ind_current = ind_current_.data();
+    double *ind_voltage = ind_voltage_.data();
+
+    // Node rows and the sink start from zero; source and inductor rows
+    // are assigned whole below.
+    std::fill_n(rhs, num_nodes * lanes, 0.0);
+    std::fill_n(rhs + dim * lanes, lanes, 0.0);
+
+    // Capacitor companions: conductance Geq already in the matrix; the
+    // history term injects Ieq = Geq*v_n + i_n from b into a.
+    for (size_t i = 0; i < num_caps; ++i) {
+        const Pack geq = Pack::splat(cap_geq[i]);
+        const double *cv = cap_voltage + i * lanes;
+        const double *cc = cap_current + i * lanes;
+        double *rhs_a = rhs + cap_rows[2 * i] * lanes;
+        double *rhs_b = rhs + cap_rows[2 * i + 1] * lanes;
+        for (size_t k = 0; k < lanes; k += Pack::width) {
+            const Pack ieq = geq * Pack::load(cv + k) + Pack::load(cc + k);
+            (Pack::load(rhs_a + k) + ieq).store(rhs_a + k);
+            (Pack::load(rhs_b + k) - ieq).store(rhs_b + k);
+        }
+    }
+
+    stampSources<W, Wide>(source_volts);
+
+    // Inductor companions: v_a - v_b - Req*i_{n+1} = -(Req*i_n + v_n).
+    for (size_t m = 0; m < num_ind; ++m) {
+        const Pack req = Pack::splat(ind_req[m]);
+        const double *ic = ind_current + m * lanes;
+        const double *iv = ind_voltage + m * lanes;
+        double *row = rhs + (num_nodes + num_vsrc + m) * lanes;
+        for (size_t k = 0; k < lanes; k += Pack::width)
+            (-(req * Pack::load(ic + k) + Pack::load(iv + k)))
+                .store(row + k);
+    }
+
+    stampPorts<W, Wide>(port_currents);
+
+    fact.transientLu().solveLanesInto({rhs, dim * lanes}, lanes,
+                                      {solution, dim * lanes});
+
+    for (size_t i = 0; i < num_caps; ++i) {
+        const Pack geq = Pack::splat(cap_geq[i]);
+        const double *va = solution + cap_rows[2 * i] * lanes;
+        const double *vb = solution + cap_rows[2 * i + 1] * lanes;
+        double *cv = cap_voltage + i * lanes;
+        double *cc = cap_current + i * lanes;
+        for (size_t k = 0; k < lanes; k += Pack::width) {
+            const Pack v_new = Pack::load(va + k) - Pack::load(vb + k);
+            const Pack ieq = geq * Pack::load(cv + k) + Pack::load(cc + k);
+            (geq * v_new - ieq).store(cc + k);
+            v_new.store(cv + k);
+        }
+    }
+    for (size_t m = 0; m < num_ind; ++m) {
+        const double *branch =
+            solution + (num_nodes + num_vsrc + m) * lanes;
+        const double *va = solution + ind_rows[2 * m] * lanes;
+        const double *vb = solution + ind_rows[2 * m + 1] * lanes;
+        double *ic = ind_current + m * lanes;
+        double *iv = ind_voltage + m * lanes;
+        for (size_t k = 0; k < lanes; k += Pack::width) {
+            Pack::load(branch + k).store(ic + k);
+            (Pack::load(va + k) - Pack::load(vb + k)).store(iv + k);
+        }
+    }
+}
+
+struct TransientSolver::StepBody
+{
+    template <size_t W, bool Wide>
+    [[gnu::always_inline]] static void
+    run(TransientSolver &solver, const double *port_currents,
+        const double *source_volts)
+    {
+        solver.stepLanes<W, Wide>(port_currents, source_volts);
+    }
+};
 
 TransientSolver::TransientSolver(std::shared_ptr<const Factorization> fact,
                                  size_t lanes)
@@ -82,13 +174,31 @@ TransientSolver::TransientSolver(std::shared_ptr<const Factorization> fact,
     if (lanes_ == 0)
         fatal("TransientSolver: lanes must be >= 1");
 
-    const size_t caps = fact_->netlist().capacitors().size();
+    const Netlist &netlist = fact_->netlist();
+    const size_t dim = fact_->dim();
+    for (const auto &c : netlist.capacitors()) {
+        cap_rows_.push_back(terminalRow(c.a, dim));
+        cap_rows_.push_back(terminalRow(c.b, dim));
+    }
+    for (const auto &l : netlist.inductors()) {
+        ind_rows_.push_back(terminalRow(l.a, dim));
+        ind_rows_.push_back(terminalRow(l.b, dim));
+    }
+    for (const auto &p : netlist.ports()) {
+        port_rows_.push_back(terminalRow(p.from, dim));
+        port_rows_.push_back(terminalRow(p.to, dim));
+    }
+    for (size_t k = 0; k < lanes_; ++k)
+        for (const auto &source : netlist.voltageSources())
+            netlist_volts_.push_back(source.volts);
+
+    const size_t caps = netlist.capacitors().size();
     cap_voltage_.assign(caps * lanes_, 0.0);
     cap_current_.assign(caps * lanes_, 0.0);
     ind_current_.assign(fact_->numInductors() * lanes_, 0.0);
     ind_voltage_.assign(fact_->numInductors() * lanes_, 0.0);
-    solution_.assign(fact_->dim() * lanes_, 0.0);
-    rhs_.assign(fact_->dim() * lanes_, 0.0);
+    solution_.assign((dim + 1) * lanes_, 0.0);
+    rhs_.assign((dim + 1) * lanes_, 0.0);
 }
 
 TransientSolver::TransientSolver(const Netlist &netlist, double dt,
@@ -105,140 +215,54 @@ TransientSolver::checkLane(size_t lane, const char *context) const
               " (have ", lanes_, ")");
 }
 
+const double *
+TransientSolver::checkStimulus(std::span<const double> port_currents,
+                               std::span<const double> source_volts) const
+{
+    const size_t num_ports = portCount();
+    const size_t num_vsrc = fact_->numVoltageSources();
+    if (port_currents.size() != num_ports * lanes_)
+        fatal("TransientSolver: expected ", num_ports, " x ", lanes_,
+              " lane-major port currents, got ", port_currents.size());
+    if (source_volts.empty())
+        return netlist_volts_.data();
+    if (source_volts.size() != num_vsrc * lanes_)
+        fatal("TransientSolver: expected ", num_vsrc, " x ", lanes_,
+              " lane-major source values, got ", source_volts.size());
+    return source_volts.data();
+}
+
 void
 TransientSolver::initDcOperatingPoint(
     std::span<const double> port_currents,
     std::span<const double> source_volts)
 {
-    const Netlist &netlist = fact_->netlist();
-    const size_t num_nodes = fact_->numNodes();
-    const size_t num_vsrc = fact_->numVoltageSources();
-    const size_t num_ind = fact_->numInductors();
+    const double *sources = checkStimulus(port_currents, source_volts);
+    const size_t n = fact_->dim() * lanes_;
 
-    std::vector<double> rhs(fact_->dim() * lanes_, 0.0);
-    fillSourceVolts(*fact_, source_volts, lanes_, rhs.data());
-    fillPortCurrents(*fact_, port_currents, lanes_, rhs.data());
-
-    fact_->dcLu().solveLanesInto(rhs, lanes_, solution_);
+    std::fill_n(rhs_.data(), n, 0.0);
+    stampSources<0, false>(sources);
+    stampPorts<0, false>(port_currents.data());
+    fact_->dcLu().solveLanesInto({rhs_.data(), n}, lanes_,
+                                 {solution_.data(), n});
     time_ = 0.0;
 
-    auto node_row = [&](NodeId n) -> const double * {
-        int idx = nodeIndex(n);
-        return idx >= 0 ? &solution_[static_cast<size_t>(idx) * lanes_]
-                        : nullptr;
-    };
-
-    for (size_t i = 0; i < netlist.capacitors().size(); ++i) {
-        const auto &c = netlist.capacitors()[i];
-        const double *va = node_row(c.a);
-        const double *vb = node_row(c.b);
+    for (size_t i = 0; i < cap_rows_.size() / 2; ++i) {
+        const double *va = &solution_[cap_rows_[2 * i] * lanes_];
+        const double *vb = &solution_[cap_rows_[2 * i + 1] * lanes_];
         double *cv = &cap_voltage_[i * lanes_];
         double *cc = &cap_current_[i * lanes_];
         for (size_t k = 0; k < lanes_; ++k) {
-            cv[k] = (va != nullptr ? va[k] : 0.0) -
-                    (vb != nullptr ? vb[k] : 0.0);
+            cv[k] = va[k] - vb[k];
             cc[k] = 0.0;
         }
     }
-    for (size_t m = 0; m < num_ind; ++m) {
-        const double *branch = &solution_[(num_nodes + num_vsrc + m) *
-                                          lanes_];
-        double *ic = &ind_current_[m * lanes_];
-        double *iv = &ind_voltage_[m * lanes_];
-        for (size_t k = 0; k < lanes_; ++k) {
-            ic[k] = branch[k];
-            iv[k] = 0.0;
-        }
-    }
-}
-
-template <size_t FixedLanes>
-void
-TransientSolver::advance(std::span<const double> port_currents,
-                         std::span<const double> source_volts)
-{
-    const size_t lanes = FixedLanes != 0 ? FixedLanes : lanes_;
-    const Netlist &netlist = fact_->netlist();
-    const size_t num_nodes = fact_->numNodes();
-    const size_t num_vsrc = fact_->numVoltageSources();
-    const size_t num_ind = fact_->numInductors();
-    const std::span<const double> cap_geq = fact_->capGeq();
-    const std::span<const double> ind_req = fact_->indReq();
-
-    std::fill(rhs_.begin(), rhs_.end(), 0.0);
-
-    // Capacitor companions: conductance Geq already in the matrix; the
-    // history term injects Ieq = Geq*v_n + i_n from b into a.
-    const auto &caps = netlist.capacitors();
-    for (size_t i = 0; i < caps.size(); ++i) {
-        const double geq = cap_geq[i];
-        const double *cv = &cap_voltage_[i * lanes];
-        const double *cc = &cap_current_[i * lanes];
-        int ia = nodeIndex(caps[i].a);
-        int ib = nodeIndex(caps[i].b);
-        double *rhs_a =
-            ia >= 0 ? &rhs_[static_cast<size_t>(ia) * lanes] : nullptr;
-        double *rhs_b =
-            ib >= 0 ? &rhs_[static_cast<size_t>(ib) * lanes] : nullptr;
-        for (size_t k = 0; k < lanes; ++k) {
-            double ieq = geq * cv[k] + cc[k];
-            if (rhs_a != nullptr)
-                rhs_a[k] += ieq;
-            if (rhs_b != nullptr)
-                rhs_b[k] -= ieq;
-        }
-    }
-
-    fillSourceVolts(*fact_, source_volts, lanes, rhs_.data());
-
-    // Inductor companions: v_a - v_b - Req*i_{n+1} = -(Req*i_n + v_n).
-    for (size_t m = 0; m < num_ind; ++m) {
-        const double req = ind_req[m];
-        const double *ic = &ind_current_[m * lanes];
-        const double *iv = &ind_voltage_[m * lanes];
-        double *row = &rhs_[(num_nodes + num_vsrc + m) * lanes];
-        for (size_t k = 0; k < lanes; ++k)
-            row[k] = -(req * ic[k] + iv[k]);
-    }
-
-    fillPortCurrents(*fact_, port_currents, lanes, rhs_.data());
-
-    fact_->transientLu().solveLanesInto(rhs_, lanes, solution_);
-    time_ += fact_->dt();
-
-    auto node_row = [&](NodeId n) -> const double * {
-        int idx = nodeIndex(n);
-        return idx >= 0 ? &solution_[static_cast<size_t>(idx) * lanes]
-                        : nullptr;
-    };
-
-    for (size_t i = 0; i < caps.size(); ++i) {
-        const double geq = cap_geq[i];
-        const double *va = node_row(caps[i].a);
-        const double *vb = node_row(caps[i].b);
-        double *cv = &cap_voltage_[i * lanes];
-        double *cc = &cap_current_[i * lanes];
-        for (size_t k = 0; k < lanes; ++k) {
-            double v_new = (va != nullptr ? va[k] : 0.0) -
-                           (vb != nullptr ? vb[k] : 0.0);
-            double ieq = geq * cv[k] + cc[k];
-            cc[k] = geq * v_new - ieq;
-            cv[k] = v_new;
-        }
-    }
-    for (size_t m = 0; m < num_ind; ++m) {
-        const auto &l = netlist.inductors()[m];
-        const double *branch = &solution_[(num_nodes + num_vsrc + m) *
-                                          lanes];
-        const double *va = node_row(l.a);
-        const double *vb = node_row(l.b);
-        double *ic = &ind_current_[m * lanes];
-        double *iv = &ind_voltage_[m * lanes];
-        for (size_t k = 0; k < lanes; ++k) {
-            ic[k] = branch[k];
-            iv[k] = (va != nullptr ? va[k] : 0.0) -
-                    (vb != nullptr ? vb[k] : 0.0);
-        }
+    const size_t first_branch =
+        fact_->numNodes() + fact_->numVoltageSources();
+    for (size_t m = 0; m < ind_rows_.size() / 2; ++m) {
+        const double *branch = &solution_[(first_branch + m) * lanes_];
+        std::copy_n(branch, lanes_, &ind_current_[m * lanes_]);
+        std::fill_n(&ind_voltage_[m * lanes_], lanes_, 0.0);
     }
 }
 
@@ -246,14 +270,13 @@ void
 TransientSolver::step(std::span<const double> port_currents,
                       std::span<const double> source_volts)
 {
-    // One step body for every lane count. A one-lane solver runs it
-    // with the count as a compile-time constant, as the substitution
-    // kernel does for a batch of one chunk, so each of advance()'s lane
-    // loops is straight-line code instead of a loop of one trip.
-    if (lanes_ == 1)
-        advance<1>(port_currents, source_volts);
-    else
-        advance<0>(port_currents, source_volts);
+    // One step body for every lane count; LaneClones picks the clone
+    // and whether the count is a compile-time pack width.
+    const double *sources = checkStimulus(port_currents, source_volts);
+    using Clones = detail::LaneClones<
+        StepBody, void(TransientSolver &, const double *, const double *)>;
+    Clones::forLanes(lanes_)(*this, port_currents.data(), sources);
+    time_ += fact_->dt();
 }
 
 void
@@ -270,10 +293,9 @@ TransientSolver::nodeVoltage(size_t lane, NodeId node) const
     checkLane(lane, "nodeVoltage");
     if (node == Netlist::ground)
         return 0.0;
-    int idx = nodeIndex(node);
-    if (idx < 0 || static_cast<size_t>(idx) >= fact_->numNodes())
+    if (node < 0 || static_cast<size_t>(node) > fact_->numNodes())
         fatal("TransientSolver::nodeVoltage(): bad node ", node);
-    return solution_[static_cast<size_t>(idx) * lanes_ + lane];
+    return solution_[terminalRow(node, fact_->dim()) * lanes_ + lane];
 }
 
 double

@@ -20,7 +20,15 @@
  * unknown/reactive-element i and lane k lives at index `i * lanes + k`
  * — so the innermost loop of every kernel (right-hand-side assembly,
  * forward/back substitution, companion-state update) runs over
- * contiguous lanes, and the substitution kernel vectorizes it.
+ * contiguous lanes. The step body is one template over the lane
+ * width: at 2, 4 and 8 lanes it runs as whole vectors (LanePack,
+ * util/lanepack.hh) in a runtime-dispatched AVX2 clone, at one lane as
+ * scalars, and at any other width as a loop over single lanes. Its
+ * lane loops have no branches: ground reads a zero row of the
+ * solution and writes a sink row of the right-hand side that no
+ * substitution reads. A grounded terminal's voltage is therefore
+ * `x - 0.0`, which keeps every lane's bits those of the one-lane
+ * reference (tests/circuit/test_batched.cc).
  *
  * Determinism contract: lanes never mix arithmetically, and every lane
  * executes the same operation sequence whatever the lane count (the
@@ -156,22 +164,49 @@ class TransientSolver
     }
 
   private:
-    /** step() over `FixedLanes` lanes, or lanes() when it is 0. */
-    template <size_t FixedLanes>
-    void advance(std::span<const double> port_currents,
-                 std::span<const double> source_volts);
+    /** stepLanes() as a lane-width dispatch body (transient.cc). */
+    struct StepBody;
 
     void checkLane(size_t lane, const char *context) const;
     void checkOneLane(const char *context) const;
+
+    /**
+     * Fatal unless `port_currents`, and `source_volts` when given, are
+     * lane-major with lanes() entries per port or source. Returns the
+     * source values to stamp: `source_volts`, or the netlist's.
+     */
+    const double *checkStimulus(std::span<const double> port_currents,
+                                std::span<const double> source_volts) const;
+
+    // The step body, one template over the lane width: W lanes at a
+    // time as one LanePack<W, Wide> (util/lanepack.hh), or lanes()
+    // lanes one at a time when W is 0. Defined in transient.cc.
+    template <size_t W, bool Wide>
+    void stampSources(const double *source_volts);
+    template <size_t W, bool Wide>
+    void stampPorts(const double *port_currents);
+    template <size_t W, bool Wide>
+    void stepLanes(const double *port_currents, const double *source_volts);
 
     std::shared_ptr<const Factorization> fact_;
     size_t lanes_;
     double time_ = 0.0;
 
+    // The right-hand-side and solution row of each capacitor's,
+    // inductor's and port's two terminals, (a, b) or (from, to): node
+    // n is row n - 1, and ground is row dim(), the zero row of
+    // `solution_` and the sink row of `rhs_`.
+    std::vector<size_t> cap_rows_;
+    std::vector<size_t> ind_rows_;
+    std::vector<size_t> port_rows_;
+
+    /** The netlist's source values, lane-major, for steps given none. */
+    std::vector<double> netlist_volts_;
+
     // All SoA, [element * lanes_ + lane]. `solution_` holds the latest
     // step's node voltages, vsource branch currents and inductor
-    // branch currents; the reactive-element state is carried between
-    // steps; `rhs_` is scratch.
+    // branch currents, then the zero row; the reactive-element state is
+    // carried between steps; `rhs_` is scratch, then the sink row.
     std::vector<double> solution_;
     std::vector<double> cap_voltage_;
     std::vector<double> cap_current_;

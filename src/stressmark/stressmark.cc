@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "util/logging.hh"
 
@@ -18,17 +19,40 @@ constexpr uint64_t kShortPhaseCycles = 256;
 
 } // namespace
 
+PhaseList
+Stressmark::makeLoop() const
+{
+    std::vector<ActivityPhase> phases;
+    const int events = std::max(1, spec.consecutive_events);
+    phases.reserve(static_cast<size_t>(events) * 2);
+    for (int e = 0; e < events; ++e) {
+        phases.push_back({high_power, half_period});
+        phases.push_back({low_power, half_period});
+    }
+    return std::make_shared<const std::vector<ActivityPhase>>(
+        std::move(phases));
+}
+
+bool
+Stressmark::loopIsCurrent() const
+{
+    // makeLoop() repeats one high/low pair, so its size and first pair
+    // determine the whole list.
+    const auto same = [](double a, double b) {
+        return std::memcmp(&a, &b, sizeof(double)) == 0;
+    };
+    const size_t events =
+        static_cast<size_t>(std::max(1, spec.consecutive_events));
+    return loop_ && loop_->size() == 2 * events &&
+           same((*loop_)[0].power, high_power) &&
+           same((*loop_)[0].duration, half_period) &&
+           same((*loop_)[1].power, low_power) &&
+           same((*loop_)[1].duration, half_period);
+}
+
 CoreActivity
 Stressmark::activity(double start_delay) const
 {
-    std::vector<ActivityPhase> loop;
-    int events = std::max(1, spec.consecutive_events);
-    loop.reserve(static_cast<size_t>(events) * 2);
-    for (int e = 0; e < events; ++e) {
-        loop.push_back({high_power, half_period});
-        loop.push_back({low_power, half_period});
-    }
-
     std::optional<SyncSpec> sync;
     if (spec.synchronized) {
         sync = SyncSpec{spec.sync_interval_ticks,
@@ -37,7 +61,8 @@ Stressmark::activity(double start_delay) const
     std::vector<ActivityPhase> prologue;
     if (start_delay > 0.0)
         prologue.push_back({low_power, start_delay});
-    return CoreActivity(std::move(loop), sync, std::move(prologue));
+    return CoreActivity::sharing(loopIsCurrent() ? loop_ : makeLoop(),
+                                 sync, std::move(prologue));
 }
 
 StressmarkBuilder::StressmarkBuilder(const CoreModel &core,
@@ -133,6 +158,8 @@ StressmarkBuilder::build(const StressmarkSpec &spec) const
             sm.low_power = low_bins.mean();
         }
     }
+
+    sm.loop_ = sm.makeLoop();
     return sm;
 }
 

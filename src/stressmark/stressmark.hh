@@ -67,13 +67,31 @@ struct Stressmark
     Program assembled;
 
     /**
-     * Chip-model activity schedule for this stressmark.
+     * Chip-model activity schedule for this stressmark. Its loop is
+     * one iteration's phases: `spec.consecutive_events` (at least one)
+     * high/low pairs of `half_period` each, from the fields' present
+     * values. StressmarkBuilder::build() makes that list once, and
+     * every activity() shares it while the fields still describe it; a
+     * Stressmark whose fields were set or changed by hand gets a fresh
+     * list of its own values.
      *
      * @param start_delay one-shot low-power prologue (seconds),
      *                    modelling arbitrary start skew of
      *                    unsynchronized copies
      */
     CoreActivity activity(double start_delay = 0.0) const;
+
+  private:
+    friend class StressmarkBuilder;
+
+    /** One loop iteration's phases of the fields' present values. */
+    PhaseList makeLoop() const;
+
+    /** Whether `loop_` is makeLoop()'s list, bit for bit. */
+    bool loopIsCurrent() const;
+
+    /** The list build() made, shared by activity() while current. */
+    PhaseList loop_;
 };
 
 /**

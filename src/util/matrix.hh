@@ -20,6 +20,7 @@
 #include <cmath>
 #include <complex>
 #include <cstddef>
+#include <span>
 #include <type_traits>
 #include <vector>
 
@@ -251,22 +252,22 @@ class LuSolver
      * result is bit-identical to a solveInto() of lane k's right-hand
      * side. The lane loop is innermost over contiguous memory, which
      * lets the compiler vectorize and amortizes every factor load over
-     * all lanes — this is the kernel behind the transient solver.
+     * all lanes — this is the kernel behind the transient solver. Both
+     * spans must hold exactly `size() * lanes` entries.
      */
     void
-    solveLanesInto(const std::vector<double> &b, size_t lanes,
-                   std::vector<double> &x) const
+    solveLanesInto(std::span<const double> b, size_t lanes,
+                   std::span<double> x) const
         requires std::is_same_v<T, double>
     {
         if (!factorized_)
             panic("LuSolver::solveLanesInto() before factorize()");
         if (lanes == 0)
             fatal("LuSolver::solveLanesInto(): lanes must be >= 1");
-        if (b.size() != n_ * lanes)
+        if (b.size() != n_ * lanes || x.size() != n_ * lanes)
             fatal("LuSolver::solveLanesInto(): rhs size ", b.size(),
-                  " does not match ", n_, " unknowns x ", lanes,
-                  " lanes");
-        x.resize(n_ * lanes);
+                  " and solution size ", x.size(), " do not match ", n_,
+                  " unknowns x ", lanes, " lanes");
         detail::solveLanesDouble(
             {n_, perm_.data(), &lower_, &upper_, diag_.data()}, b.data(),
             lanes, x.data());

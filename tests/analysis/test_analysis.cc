@@ -7,7 +7,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
+#include <filesystem>
+#include <string>
+#include <unistd.h>
 
+#include "analysis/campaigns.hh"
 #include "analysis/guardband.hh"
 #include "analysis/mapping.hh"
 #include "analysis/margins.hh"
@@ -128,6 +133,139 @@ TEST(FreqSweepTest, ParallelSweepMatchesSerialBitwise)
         EXPECT_EQ(serial[i].freq_hz, parallel[i].freq_hz);
         EXPECT_EQ(serial[i].max_p2p, parallel[i].max_p2p);
         EXPECT_EQ(serial[i].min_v, parallel[i].min_v);
+    }
+}
+
+bool
+samePoints(const std::vector<vn::FreqSweepPoint> &a,
+           const std::vector<vn::FreqSweepPoint> &b)
+{
+    auto same = [](double x, double y) {
+        return std::memcmp(&x, &y, sizeof(double)) == 0;
+    };
+    if (a.size() != b.size())
+        return false;
+    for (size_t i = 0; i < a.size(); ++i) {
+        if (!same(a[i].freq_hz, b[i].freq_hz) ||
+            !same(a[i].max_p2p, b[i].max_p2p) ||
+            !same(a[i].min_v, b[i].min_v))
+            return false;
+        for (int c = 0; c < vn::kNumCores; ++c)
+            if (!same(a[i].p2p[c], b[i].p2p[c]) ||
+                !same(a[i].v_min[c], b[i].v_min[c]))
+                return false;
+    }
+    return true;
+}
+
+/** Six points above 1.5 MHz: every one co-simulates the 8 us window. */
+const std::vector<double> kSameWindowFreqs{2e6,  3e6,  5e6,
+                                           8e6, 13e6, 21e6};
+
+TEST(SweepPackingTest, SixPointsOnThreeWorkersRunAsThreeBatchesOfTwo)
+{
+    // The batch rule: ceil(6 / 3) = 2 points per batch, both for
+    // one-lane synchronized points and for free-running points of
+    // unsync_draws = 2 lanes each (at most 8 / 2 = 4 per batch).
+    for (bool synchronized : {true, false}) {
+        SCOPED_TRACE(synchronized ? "synchronized" : "free-running");
+        auto ctx = context();
+        ctx.campaign.jobs = 3;
+        vn::runtime::CampaignStats stats;
+        ctx.campaign.stats_sink = &stats;
+        auto packed =
+            vn::sweepStimulusFrequency(ctx, kSameWindowFreqs, synchronized);
+        EXPECT_EQ(stats.jobs, 6u);
+        EXPECT_EQ(stats.executed, 6u);
+        EXPECT_EQ(stats.lane_batches, 3u);
+        EXPECT_EQ(stats.cache_hits, 0u);
+
+        // One lane per batch (lanes = 1 allows one point per batch)
+        // gives the same bits.
+        ctx.campaign.lanes = 1;
+        ctx.campaign.stats_sink = nullptr;
+        EXPECT_TRUE(samePoints(packed, vn::sweepStimulusFrequency(
+                                           ctx, kSameWindowFreqs,
+                                           synchronized)));
+    }
+}
+
+TEST(SweepPackingTest, BatchRuleFollowsWorkersAndLanes)
+{
+    vn::runtime::CampaignOptions options;
+    options.jobs = 3;
+    options.lanes = 8;
+    EXPECT_EQ(vn::pointsPerBatch(options, 6, 1), 2u);
+    EXPECT_EQ(vn::pointsPerBatch(options, 6, 4), 2u);
+    EXPECT_EQ(vn::pointsPerBatch(options, 96, 1), 8u);
+    EXPECT_EQ(vn::pointsPerBatch(options, 63, 1), 8u);
+    EXPECT_EQ(vn::pointsPerBatch(options, 9, 1), 3u);
+    EXPECT_EQ(vn::pointsPerBatch(options, 1, 1), 1u);
+    EXPECT_EQ(vn::pointsPerBatch(options, 40, 4), 2u);
+    // A point wider than the lane budget still gets a batch of its own.
+    EXPECT_EQ(vn::pointsPerBatch(options, 5, 16), 1u);
+    options.lanes = 1;
+    EXPECT_EQ(vn::pointsPerBatch(options, 6, 1), 1u);
+    // A borrowed pool's threads count, not jobs.
+    vn::runtime::Pool pool(2);
+    options.lanes = 8;
+    options.pool = &pool;
+    EXPECT_EQ(vn::pointsPerBatch(options, 6, 1), 3u);
+}
+
+TEST(SweepPackingTest, PartlyCachedBatchesRecomputeOnlyTheirMissingPoints)
+{
+    const std::string dir = ::testing::TempDir() + "vnoise_sweep_pack_" +
+                            std::to_string(::getpid());
+    std::filesystem::remove_all(dir);
+    for (bool synchronized : {true, false}) {
+        SCOPED_TRACE(synchronized ? "synchronized" : "free-running");
+        auto ctx = context();
+        ctx.campaign.jobs = 3;
+        ctx.campaign.cache_dir = dir;
+
+        // Cache every other point, then sweep all six: each batch of
+        // two holds one cached and one missing point.
+        std::vector<double> every_other;
+        for (size_t i = 0; i < kSameWindowFreqs.size(); i += 2)
+            every_other.push_back(kSameWindowFreqs[i]);
+        vn::sweepStimulusFrequency(ctx, every_other, synchronized);
+
+        vn::runtime::CampaignStats stats;
+        ctx.campaign.stats_sink = &stats;
+        auto resumed =
+            vn::sweepStimulusFrequency(ctx, kSameWindowFreqs, synchronized);
+        EXPECT_EQ(stats.jobs, 6u);
+        EXPECT_EQ(stats.cache_hits, 3u);
+        EXPECT_EQ(stats.executed, 3u);
+        EXPECT_EQ(stats.lane_batches, 0u);
+
+        ctx.campaign.cache_dir.clear();
+        ctx.campaign.stats_sink = nullptr;
+        EXPECT_TRUE(samePoints(resumed, vn::sweepStimulusFrequency(
+                                            ctx, kSameWindowFreqs,
+                                            synchronized)));
+    }
+    std::filesystem::remove_all(dir);
+}
+
+TEST(SweepPackingTest, MixedPointsComeBackInRequestOrder)
+{
+    // Synchronized and free-running points, and a point with a window
+    // of its own (below 1.5 MHz), interleaved: each lands at its own
+    // index, with the bits of a sweep of its kind alone.
+    auto ctx = context();
+    ctx.campaign.jobs = 2;
+    const std::vector<vn::SweepPointSpec> specs = {
+        {3e6, true}, {5e6, false}, {1e6, true}, {8e6, true}, {3e6, false}};
+    auto mixed = vn::sweepStimulusPoints(ctx, specs);
+    ASSERT_EQ(mixed.size(), specs.size());
+    for (size_t i = 0; i < specs.size(); ++i) {
+        SCOPED_TRACE("point " + std::to_string(i));
+        auto alone = vn::sweepStimulusFrequency(
+            ctx, std::vector<double>{specs[i].freq_hz},
+            specs[i].synchronized);
+        EXPECT_TRUE(samePoints({mixed[i]}, alone));
     }
 }
 

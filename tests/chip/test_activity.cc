@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+#include <memory>
+
 #include "chip/activity.hh"
 #include "chip/tod.hh"
 #include "util/logging.hh"
@@ -118,10 +122,63 @@ TEST(CoreActivityTest, TimeAdvances)
     EXPECT_NEAR(a.time(), 5e-9, 1e-18);
 }
 
+TEST(CoreActivityTest, CopiesShareOnePhaseList)
+{
+    vn::CoreActivity a({{3.0, 10e-9}, {1.0, 10e-9}}, vn::SyncSpec{16, 0, 0.5},
+                       {{1.0, 5e-9}});
+    vn::CoreActivity copy = a;
+    EXPECT_EQ(&copy.loop(), &a.loop());
+    copy.advance(3e-9);
+    EXPECT_EQ(&copy.loop(), &a.loop());
+
+    auto list = std::make_shared<const std::vector<vn::ActivityPhase>>(
+        std::vector<vn::ActivityPhase>{{2.0, 4e-9}});
+    EXPECT_EQ(&vn::CoreActivity::sharing(list).loop(), list.get());
+}
+
+TEST(CoreActivityTest, IdenticalOnlyWhenEveryFieldOfTheStateIs)
+{
+    const std::vector<vn::ActivityPhase> phases{{3.0, 10e-9}, {1.0, 30e-9}};
+    const vn::SyncSpec sync{16, 0, 0.5};
+    const vn::CoreActivity a(phases, sync);
+    // A copy, and an equal schedule held in a list of its own.
+    EXPECT_TRUE(a.identicalTo(vn::CoreActivity(a)));
+    EXPECT_TRUE(a.identicalTo(vn::CoreActivity(phases, sync)));
+    // The same loop with a start delay, another sync offset, a bit of
+    // one phase changed, or no barrier.
+    EXPECT_FALSE(a.identicalTo(vn::CoreActivity(phases, sync, {{1.0, 1e-9}})));
+    EXPECT_FALSE(a.identicalTo(vn::CoreActivity(phases, vn::SyncSpec{16, 1, 0.5})));
+    EXPECT_FALSE(a.identicalTo(
+        vn::CoreActivity({{3.0, 10e-9}, {std::nextafter(1.0, 2.0), 30e-9}},
+                         sync)));
+    EXPECT_FALSE(a.identicalTo(vn::CoreActivity(phases)));
+
+    // Mid-phase state: identical only at the same instant of the same
+    // phase, and identical again after the same advances.
+    vn::CoreActivity mid = a;
+    mid.advance(3e-9);
+    EXPECT_FALSE(a.identicalTo(mid));
+    vn::CoreActivity other = a;
+    other.advance(3e-9);
+    EXPECT_TRUE(mid.identicalTo(other));
+    for (int i = 0; i < 200; ++i) {
+        double p = mid.advance(1e-9);
+        double q = other.advance(1e-9);
+        ASSERT_EQ(std::memcmp(&p, &q, sizeof(double)), 0) << i;
+        ASSERT_TRUE(mid.identicalTo(other)) << i;
+    }
+    // Same phase position a whole loop later: a later clock differs.
+    vn::CoreActivity loop_later(phases);
+    vn::CoreActivity start(phases);
+    loop_later.advance(40e-9);
+    EXPECT_FALSE(start.identicalTo(loop_later));
+}
+
 TEST(CoreActivityTest, InvalidConstructionIsFatal)
 {
     bool prev = vn::setThrowOnError(true);
     EXPECT_THROW(vn::CoreActivity({}), vn::FatalError);
+    EXPECT_THROW(vn::CoreActivity::sharing(nullptr), vn::FatalError);
     EXPECT_THROW(vn::CoreActivity({{1.0, 0.0}}), vn::FatalError);
     EXPECT_THROW(vn::CoreActivity({{1.0, 1e-9}}, vn::SyncSpec{0, 0, 0.5}),
                  vn::FatalError);

@@ -399,6 +399,7 @@ expectSparseMatchesDense(const vn::Netlist &net, double dt, bool dc,
         }
         for (size_t count : lane_counts) {
             soa_rhs.resize(n * count);
+            soa_x.resize(n * count);
             for (size_t i = 0; i < n; ++i)
                 for (size_t k = 0; k < count; ++k)
                     soa_rhs[i * count + k] = lanes[k].rhs[i];
@@ -594,6 +595,87 @@ TEST(BatchedBitIdentityTest, EightLaneChipRunBatchMatchesScalarRuns)
     // Two whole 4-lane vectors per substitution row: the width of the
     // Fig. 13 mapping batches.
     expectRunBatchMatchesRuns(8, 2e-6);
+}
+
+/**
+ * Workload sets whose cores share schedules in each way the chip loop
+ * groups them, and in each way it must not: one shared list, copies,
+ * an equal list of its own, the same loop with a start delay, another
+ * sync offset, or a mid-phase state. A 1 us TOD interval puts several
+ * barriers in a few microseconds.
+ */
+std::vector<std::array<vn::CoreActivity, vn::kNumCores>>
+sharedScheduleSets(const vn::ChipModel &chip)
+{
+    const std::vector<vn::ActivityPhase> phases{
+        {3.6, 170e-9}, {1.3, 170e-9}, {3.6, 170e-9}, {1.3, 170e-9}};
+    const auto list =
+        std::make_shared<const std::vector<vn::ActivityPhase>>(phases);
+    const vn::SyncSpec sync{16, 0, 1.3};
+    const auto base = vn::CoreActivity::sharing(list, sync);
+    const vn::CoreActivity own_list(phases, sync);
+    const auto delayed =
+        vn::CoreActivity::sharing(list, sync, {{1.3, 230e-9}});
+    const auto offset = vn::CoreActivity::sharing(list, {{16, 5, 1.3}});
+    vn::CoreActivity mid = base;
+    mid.advance(0.6e-9);
+    vn::CoreActivity mid_own(phases, sync);
+    mid_own.advance(0.6e-9);
+    const auto idle = chip.idleActivity();
+    return {
+        {base, base, own_list, base, own_list, base},
+        {delayed, base, offset, mid, own_list, base},
+        {mid, mid_own, base, delayed, offset, idle},
+        {idle, idle, idle, idle, idle, idle},
+        {own_list, own_list, own_list, own_list, own_list, own_list},
+    };
+}
+
+TEST(BatchedBitIdentityTest, SharedSchedulesMatchScalarRuns)
+{
+    // However many lanes and cores share a schedule, every lane equals
+    // a one-lane run of its own set, bit for bit, traces included; at
+    // 2 lanes (one pack) and 5 (single lanes) alike.
+    vn::ChipModel chip;
+    const auto sets = sharedScheduleSets(chip);
+    vn::RunOptions options;
+    options.capture_traces = true;
+    options.trace_decimation = 2;
+    for (size_t lanes : {size_t{2}, sets.size()}) {
+        SCOPED_TRACE(std::to_string(lanes) + " lanes");
+        const std::span<const std::array<vn::CoreActivity, vn::kNumCores>>
+            batch(sets.data(), lanes);
+        auto batched = chip.runBatch(batch, 3e-6, options);
+        ASSERT_EQ(batched.size(), lanes);
+        for (size_t i = 0; i < lanes; ++i) {
+            SCOPED_TRACE("lane " + std::to_string(i));
+            expectSameChipResult(chip.run(sets[i], 3e-6, options),
+                                 batched[i]);
+        }
+    }
+}
+
+TEST(BatchedBitIdentityTest, SharedSchedulesMatchScalarFailureScans)
+{
+    vn::ChipModel chip;
+    const std::vector<double> biases = {0.0, 0.06, 0.1, 0.14, 0.2};
+    size_t failed = 0;
+    for (const auto &set : sharedScheduleSets(chip)) {
+        auto outcomes = chip.scanFailures(set, biases, 3e-6);
+        ASSERT_EQ(outcomes.size(), biases.size());
+        for (size_t i = 0; i < biases.size(); ++i) {
+            SCOPED_TRACE("bias " + std::to_string(biases[i]));
+            vn::ChipConfig biased = chip.config();
+            biased.bias = biases[i];
+            auto scalar = vn::ChipModel(biased).run(set, 3e-6);
+            ASSERT_EQ(outcomes[i].failed, scalar.failed);
+            ASSERT_TRUE(sameBits(outcomes[i].failure_time,
+                                 scalar.failure_time));
+            ASSERT_EQ(outcomes[i].failing_core, scalar.failing_core);
+            failed += scalar.failed ? 1 : 0;
+        }
+    }
+    EXPECT_GT(failed, 0u);
 }
 
 TEST(BatchedBitIdentityTest, WindowShorterThanWarmupHasNoStatistics)

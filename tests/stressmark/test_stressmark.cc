@@ -116,6 +116,72 @@ TEST(StressmarkBuilderTest, ActivityAlternatesPhases)
     EXPECT_NEAR(p1, sm.low_power, 0.05);
 }
 
+TEST(StressmarkBuilderTest, ActivitiesShareTheBuiltLoop)
+{
+    vn::StressmarkSpec spec;
+    spec.consecutive_events = 5;
+    auto sm = builder().build(spec);
+    const vn::CoreActivity activity = sm.activity();
+    const std::vector<vn::ActivityPhase> &loop = activity.loop();
+    ASSERT_EQ(loop.size(), 10u);
+    EXPECT_EQ(&sm.activity(120e-9).loop(), &loop);
+    vn::Stressmark copy = sm;
+    EXPECT_EQ(&copy.activity().loop(), &loop);
+    EXPECT_EQ(loop[0].power, sm.high_power);
+    EXPECT_EQ(loop[1].power, sm.low_power);
+    EXPECT_EQ(loop[1].duration, sm.half_period);
+}
+
+TEST(StressmarkBuilderTest, EditedFieldsReachTheActivity)
+{
+    vn::StressmarkSpec spec;
+    spec.consecutive_events = 5;
+    const auto built = builder().build(spec);
+    const vn::CoreActivity built_activity = built.activity();
+    const std::vector<vn::ActivityPhase> &shared = built_activity.loop();
+
+    // Each field the loop is made of, changed after build(): the
+    // activity follows the field, not the list build() made.
+    const auto expectLoopOf = [](const vn::Stressmark &sm) {
+        const vn::CoreActivity activity = sm.activity();
+        const auto &loop = activity.loop();
+        ASSERT_EQ(loop.size(),
+                  2u * static_cast<size_t>(sm.spec.consecutive_events));
+        for (size_t i = 0; i < loop.size(); i += 2) {
+            EXPECT_EQ(loop[i].power, sm.high_power);
+            EXPECT_EQ(loop[i + 1].power, sm.low_power);
+            EXPECT_EQ(loop[i].duration, sm.half_period);
+            EXPECT_EQ(loop[i + 1].duration, sm.half_period);
+        }
+    };
+    vn::Stressmark sm = built;
+    sm.high_power += 1.0;
+    const vn::CoreActivity edited = sm.activity();
+    EXPECT_NE(&edited.loop(), &shared);
+    expectLoopOf(sm);
+    sm = built;
+    sm.low_power *= 0.5;
+    expectLoopOf(sm);
+    sm = built;
+    sm.half_period *= 2.0;
+    expectLoopOf(sm);
+    sm = built;
+    sm.spec.consecutive_events = 3;
+    expectLoopOf(sm);
+
+    // Set back to the built values, it shares the built list again.
+    sm.spec.consecutive_events = built.spec.consecutive_events;
+    EXPECT_EQ(&sm.activity().loop(), &shared);
+
+    // A stressmark not made by a builder gets its own values' loop.
+    vn::Stressmark by_hand;
+    by_hand.spec.consecutive_events = 2;
+    by_hand.high_power = 3.0;
+    by_hand.low_power = 1.0;
+    by_hand.half_period = 250e-9;
+    expectLoopOf(by_hand);
+}
+
 TEST(StressmarkBuilderTest, ActivityHonoursStartDelay)
 {
     auto sm = builder().build({.stimulus_freq_hz = 1e6,
